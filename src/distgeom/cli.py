@@ -217,19 +217,24 @@ def _cmd_verify(args) -> int:
     name = args.suite
     if name == "signs":
         result = suites.signs_suite(
-            seed=args.seed, samples=samples, n_max=args.n or 6, tol=args.tol
+            seed=args.seed,
+            samples=samples,
+            n_max=6 if args.n is None else args.n,
+            tol=args.tol,
         )
     elif name == "cmdk":
-        result = suites.cmdk_suite(seed=args.seed, samples=samples, n_max=args.n or 7)
+        result = suites.cmdk_suite(
+            seed=args.seed, samples=samples, n_max=7 if args.n is None else args.n
+        )
     elif name == "roundtrip":
         result = suites.roundtrip_suite(
-            seed=args.seed, samples=samples, n_max=args.n or 8
+            seed=args.seed, samples=samples, n_max=8 if args.n is None else args.n
         )
     elif name == "forms":
         result = suites.forms_suite(seed=args.seed, samples=samples)
     elif name == "menger":
         result = suites.menger_suite(
-            seed=args.seed, samples=samples, n_max=args.n or 6
+            seed=args.seed, samples=samples, n_max=6 if args.n is None else args.n
         )
     elif name == "signdict":
         result = suites.signdict_suite(seed=args.seed, samples=samples)
@@ -237,7 +242,7 @@ def _cmd_verify(args) -> int:
         result = suites.heron_suite()
     elif name == "kernel":
         result = suites.kernel_suite(
-            seed=args.seed, samples=samples, n_max=args.n or 5
+            seed=args.seed, samples=samples, n_max=5 if args.n is None else args.n
         )
     else:
         result = suites.content_suite()

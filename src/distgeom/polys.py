@@ -9,14 +9,29 @@ the graded lexicographic order induced by the variable table.
 The text format is deterministic: terms in descending graded-lex order,
 each rendered as "coeff * name^e * ..." with "^1" omitted, joined by
 " + " (negative terms keep their sign on the coefficient).
+
+Exponent tuples are the public form: `terms`, `leading_term`,
+`sorted_terms`, `evaluate`, `to_text` and `parse_text` all speak tuples.
+The three hot kernels -- polynomial multiplication, `exact_divide` and
+the minors expansion inside `poly_det` -- convert to a packed form on
+entry and back on exit.  A packed monomial is one int: the exponents sit
+in equal byte-aligned slots in variable-table order (first variable most
+significant) below one more slot holding the total degree.  The slot
+width is chosen from a degree bound the operation reads off its inputs,
+so no exponent ever reaches the top (guard) bit of its slot.  Then int
+order is graded-lex order, multiplying two monomials adds their ints, and
+the divisor's leading monomial divides monomial `k` exactly when
+`d = k - lead` has `d >= 0` and no guard bit set (Monagan & Pearce,
+"Sparse polynomial division using a heap", JSC 2011).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import struct
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
 
 
 class VarTable:
@@ -61,6 +76,59 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+# Slot width in bytes -> struct code of one unsigned big-endian slot.
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class _Packing:
+    """Conversion between exponent tuples and packed ints for one layout."""
+
+    __slots__ = ("guard", "_pack", "_unpack", "_size")
+
+    def __init__(self, nvars: int, slot_bytes: int):
+        code = _SLOT_CODES[slot_bytes]
+        bits = 8 * slot_bytes
+        self.guard = sum(1 << (bits * k + bits - 1) for k in range(nvars))
+        self._pack = struct.Struct(f">{nvars + 1}{code}").pack
+        self._unpack = struct.Struct(f">{slot_bytes}x{nvars}{code}").unpack
+        self._size = slot_bytes * (nvars + 1)
+
+    def pack(self, terms: dict) -> dict:
+        pack, from_bytes = self._pack, int.from_bytes
+        return {from_bytes(pack(sum(e), *e), "big"): c for e, c in terms.items()}
+
+    def unpack(self, terms: dict) -> dict:
+        unpack, size = self._unpack, self._size
+        return {unpack(k.to_bytes(size, "big")): c for k, c in terms.items()}
+
+
+@lru_cache(maxsize=None)
+def _layout(nvars: int, slot_bytes: int) -> _Packing:
+    return _Packing(nvars, slot_bytes)
+
+
+def _packing(nvars: int, degree_bound: int) -> _Packing:
+    """The narrowest layout whose slots hold every degree up to the bound."""
+    for slot_bytes in _SLOT_CODES:
+        if degree_bound < 1 << (8 * slot_bytes - 1):
+            return _layout(nvars, slot_bytes)
+    raise OverflowError(f"degree bound {degree_bound} exceeds the packed range")
+
+
+def _mul_add(small: dict, large: dict, acc: dict, sign: int = 1):
+    """acc += sign * small * large, all on packed term dicts."""
+    get = acc.get
+    for k1, c1 in small.items():
+        c1 *= sign
+        for k2, c2 in large.items():
+            k = k1 + k2
+            total = get(k, 0) + c1 * c2
+            if total:
+                acc[k] = total
+            else:
+                del acc[k]
+
+
 class SparsePoly:
     """Immutable-by-convention sparse polynomial over a variable table."""
 
@@ -74,6 +142,8 @@ class SparsePoly:
             exp = tuple(exp)
             if len(exp) != width:
                 raise ValueError("exponent tuple width does not match table")
+            if exp and min(exp) < 0:
+                raise ValueError("exponents must be nonnegative")
             if isinstance(coeff, Fraction) and coeff.denominator == 1:
                 coeff = coeff.numerator
             if coeff:
@@ -156,20 +226,15 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_table(other)
-        small, large = self.terms, other.terms
+        if not self.terms or not other.terms:
+            return SparsePoly.zero(self.table)
+        packing = _packing(len(self.table), self.degree() + other.degree())
+        small, large = packing.pack(self.terms), packing.pack(other.terms)
         if len(small) > len(large):
             small, large = large, small
         out: dict = {}
-        get = out.get
-        for e1, c1 in small.items():
-            for e2, c2 in large.items():
-                exp = tuple(map(add, e1, e2))
-                total = get(exp, 0) + c1 * c2
-                if total:
-                    out[exp] = total
-                else:
-                    del out[exp]
-        return SparsePoly._raw(self.table, out)
+        _mul_add(small, large, out)
+        return SparsePoly._raw(self.table, packing.unpack(out))
 
     __rmul__ = __mul__
 
@@ -208,7 +273,7 @@ class SparsePoly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(map(sum, self.terms))
 
     def used_vars(self) -> set[int]:
         used = set()
@@ -328,7 +393,11 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
     Multivariate division by a single divisor under graded-lex order: the
     current leading monomial of the remainder must be divisible by the
     divisor's leading monomial at every step, so non-divisibility fails
-    fast.  The quotient is verified by one multiplication before returning.
+    fast.  The division runs on packed monomials (see the module
+    docstring): the remainder is a dict keyed by packed ints with a heap
+    of its keys, and the divisibility test is the guard-bit test.  The
+    quotient comes back with exponent tuples and is verified by one
+    multiplication before returning.
     """
     if not isinstance(num, SparsePoly) or not isinstance(den, SparsePoly):
         raise TypeError("exact_divide expects two polynomials")
@@ -337,36 +406,43 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero():
         return SparsePoly.zero(num.table)
-    den_exp, den_coeff = den.leading_term()
-    den_rest = [(e, c) for e, c in den.terms.items() if e != den_exp]
-    remainder = dict(num.terms)
-    heap = [(-sum(e), tuple(-x for x in e)) for e in remainder]
+    packing = _packing(len(num.table), max(num.degree(), den.degree()))
+    guard = packing.guard
+    remainder = packing.pack(num.terms)
+    den_terms = packing.pack(den.terms)
+    den_key = max(den_terms)
+    den_coeff = den_terms.pop(den_key)
+    den_rest = list(den_terms.items())
+    heap = [-k for k in remainder]
     heapq.heapify(heap)
+    get, push, pop = remainder.get, heapq.heappush, heapq.heappop
     quotient: dict = {}
     while heap:
-        neg_total, neg_exp = heapq.heappop(heap)
-        exp = tuple(-x for x in neg_exp)
-        coeff = remainder.get(exp)
+        key = -pop(heap)
+        coeff = remainder.pop(key, 0)
         if not coeff:
             continue
-        shift = tuple(map(lambda a, b: a - b, exp, den_exp))
-        if any(x < 0 for x in shift):
+        shift = key - den_key
+        if shift < 0 or shift & guard:
             return None
         q_coeff = Fraction(coeff) / den_coeff if den_coeff != 1 else coeff
         if isinstance(q_coeff, Fraction) and q_coeff.denominator == 1:
             q_coeff = q_coeff.numerator
-        quotient[shift] = quotient.get(shift, 0) + q_coeff
-        del remainder[exp]
-        for e, c in den_rest:
-            target = tuple(map(add, shift, e))
-            total = remainder.get(target, 0) - q_coeff * c
-            if total:
-                if target not in remainder:
-                    heapq.heappush(heap, (-sum(target), tuple(-x for x in target)))
-                remainder[target] = total
+        # Leading monomials strictly decrease, so every shift is new.
+        quotient[shift] = q_coeff
+        for k, c in den_rest:
+            target = shift + k
+            old = get(target)
+            if old is None:
+                remainder[target] = -q_coeff * c
+                push(heap, -target)
             else:
-                remainder.pop(target, None)
-    result = SparsePoly(num.table, quotient)
+                total = old - q_coeff * c
+                if total:
+                    remainder[target] = total
+                else:
+                    del remainder[target]
+    result = SparsePoly._raw(num.table, packing.unpack(quotient))
     if result * den != num:
         return None
     return result
@@ -403,30 +479,19 @@ def _normalize_symbolic(rows):
     return out, table
 
 
-def _mul_add_terms(small: dict, large: dict, acc: dict, negate: bool):
-    """acc += (small * large), optionally negated, all on raw term dicts."""
-    get = acc.get
-    for e1, c1 in small.items():
-        if negate:
-            c1 = -c1
-        for e2, c2 in large.items():
-            exp = tuple(map(add, e1, e2))
-            total = get(exp, 0) + c1 * c2
-            if total:
-                acc[exp] = total
-            else:
-                del acc[exp]
-
-
 def _det_minors(rows, table: VarTable) -> SparsePoly:
     # Laplace expansion row by row, memoizing minors on column subsets
     # (bitmask-keyed), so each column-subset minor is computed once and
     # every multiplication pairs a small entry with one growing minor.
+    # Every minor's degree is at most the sum of its rows' largest entry
+    # degrees, which sizes the packed slots.
     n = len(rows)
-    level: dict = {0: {(0,) * len(table): 1}}
+    bound = sum(max(0, *(entry.degree() for entry in row)) for row in rows)
+    packing = _packing(len(table), bound)
+    level: dict = {0: {0: 1}}
     for r in range(n):
         row = rows[r]
-        nonzero = [(j, row[j].terms) for j in range(n) if row[j].terms]
+        nonzero = [(j, packing.pack(row[j].terms)) for j in range(n) if row[j].terms]
         nxt: dict = {}
         for mask, minor in level.items():
             if not minor:
@@ -435,15 +500,15 @@ def _det_minors(rows, table: VarTable) -> SparsePoly:
                 bit = 1 << j
                 if mask & bit:
                     continue
-                negate = bool(((mask & (bit - 1)).bit_count() + r) & 1)
+                sign = -1 if ((mask & (bit - 1)).bit_count() + r) & 1 else 1
                 acc = nxt.get(mask | bit)
                 if acc is None:
                     acc = {}
                     nxt[mask | bit] = acc
-                _mul_add_terms(entry, minor, acc, negate)
+                _mul_add(entry, minor, acc, sign)
         level = nxt
     full = (1 << n) - 1
-    return SparsePoly._raw(table, level.get(full, {}))
+    return SparsePoly._raw(table, packing.unpack(level.get(full, {})))
 
 
 def _det_bareiss(rows, table: VarTable) -> SparsePoly:
@@ -502,7 +567,9 @@ def poly_det(matrix, method: str = "auto") -> SparsePoly:
     two large intermediate polynomials), "bareiss" (fraction-free
     elimination with exact polynomial division), and "cofactor" (naive
     expansion, intended as a cross-check on small sizes).  All methods
-    agree exactly.
+    agree exactly.  The minors expansion packs every entry once and keeps
+    all minors as packed-monomial dicts (see the module docstring); the
+    result comes back with exponent tuples like every other polynomial.
     """
     rows = _entry_rows(matrix)
     n = len(rows)

@@ -72,10 +72,18 @@ class SuiteResult:
         return self.ok
 
 
-def _result(name: str, failures: list[str], summary: str) -> SuiteResult:
+def _result(name: str, failures: list[str], summary: str, checks: int) -> SuiteResult:
+    """Fail on any failure, and also when the suite checked nothing."""
     if failures:
         return SuiteResult(name, False, failures)
+    if checks <= 0:
+        return SuiteResult(name, False, [f"{name}: no checks ran"])
     return SuiteResult(name, True, [summary])
+
+
+def _require_two_points(n_max: int):
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
 
 
 def _hadamard_scale(rows) -> float:
@@ -101,6 +109,7 @@ def signs_suite(
     (-1)^n sigma > 0.  Constructed singular configurations drive the
     numeric determinant to zero at the Hadamard scale.
     """
+    _require_two_points(n_max)
     rng = random.Random(seed)
     failures: list[str] = []
     ns = [n for n in range(2, n_max + 1)]
@@ -146,12 +155,14 @@ def signs_suite(
         f"{samples} nonsingular + {singular_samples} singular samples over "
         f"n <= {n_max}: positive definite, sign ladder exact, singular "
         f"determinants vanish",
+        samples + singular_samples,
     )
 
 
 def cmdk_suite(seed: int = 0, samples: int = 100, n_max: int = 7) -> SuiteResult:
     """The bordered determinant equals (-1)^n times every reduced
     determinant, exactly, for every base point."""
+    _require_two_points(n_max)
     rng = random.Random(seed)
     failures: list[str] = []
     checked = 0
@@ -172,6 +183,7 @@ def cmdk_suite(seed: int = 0, samples: int = 100, n_max: int = 7) -> SuiteResult
         "cmdk",
         failures,
         f"{checked} exact base-point reductions agree over n <= {n_max}",
+        checked,
     )
 
 
@@ -186,12 +198,14 @@ def roundtrip_suite(
     """
     rng = random.Random(seed)
     failures: list[str] = []
+    checked = 1  # the non-realizable triple below
     for idx in range(samples):
         n = rng.randint(2, n_max)
         d = rng.randint(1, min(n - 1, 4))
         cfg = sampling.random_float_configuration(rng, n, d)
         if affine_rank(cfg) != d:
             continue
+        checked += 1
         result = embed(distances(cfg))
         if result.d != d:
             failures.append(f"sample {idx}: n={n} expected d={d}, got {result.d}")
@@ -214,6 +228,7 @@ def roundtrip_suite(
         failures,
         f"{samples} spectral round trips within {tol:.0e} over n <= {n_max}; "
         "non-realizable triple refused",
+        checked,
     )
 
 
@@ -327,6 +342,7 @@ def forms_suite(seed: int = 0, samples: int = 100, tol: float = 1e-9) -> SuiteRe
         "forms",
         failures,
         f"{samples} samples per identity family, all satisfied",
+        5 * samples,
     )
 
 
@@ -361,6 +377,7 @@ def menger_suite(seed: int = 0, samples: int = 100, n_max: int = 6) -> SuiteResu
         failures,
         f"{samples} exact volume agreements over n <= {n_max}; "
         "equilateral case pinned",
+        samples + 1,
     )
 
 
@@ -402,6 +419,7 @@ def signdict_suite(seed: int = 0, samples: int = 25) -> SuiteResult:
         "signdict",
         failures,
         "symbolic n <= 4 plus exact spot checks at n = 5, 6",
+        3 + 2 * samples,
     )
 
 
@@ -439,6 +457,7 @@ def kernel_suite(seed: int = 0, samples: int = 20, n_max: int = 5) -> SuiteResul
         "kernel",
         failures,
         f"{samples} singular tables annihilated; nonsingular refused",
+        samples + 1,
     )
 
 
@@ -457,4 +476,5 @@ def content_suite(n_values=(2, 3, 4)) -> SuiteResult:
         "content",
         failures,
         f"unit content for n in {tuple(n_values)}",
+        len(n_values),
     )

@@ -132,7 +132,7 @@ def test_03_four_body_split_and_equal_mass_five():
     # The 4-point split must come back verified inside the budget; the
     # 5-point equal-mass case runs under the long-running opt-in and must
     # match its golden file byte for byte.
-    with criterion(3, "four-and-five-body-split", budget=60.0):
+    with criterion(3, "four-and-five-body-split", budget=20.0):
         cert4 = factor_nbody(4)
         assert cert4.verified
         product = cert4.quotient

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from distgeom.cli import main
+from distgeom.suites import signs_suite
 
 GOLDENS = Path(__file__).parent / "goldens" / "v1"
 
@@ -198,6 +199,28 @@ class TestVerify:
         _, first, _ = _run(capsys, *args)
         _, second, _ = _run(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("suite", ["signs", "cmdk"])
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_fewer_than_two_points_exits_two(self, capsys, suite, n):
+        code, out, err = _run(capsys, "verify", suite, "--n", n, "--samples", "3")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "n_max" in lines[0]
+
+    @pytest.mark.parametrize("suite", ["cmdk", "forms"])
+    def test_suite_that_checked_nothing_fails(self, capsys, suite):
+        code, out, _ = _run(capsys, "verify", suite, "--samples", "0", "--n", "3")
+        assert code == 1
+        assert f"{suite}: no checks ran" in out
+        assert out.strip().endswith(f"{suite}: fail")
+
+    def test_signs_suite_without_samples_fails(self):
+        result = signs_suite(samples=0, singular_samples=0, n_max=3)
+        assert not result.ok
+        assert result.lines == ["signs: no checks ran"]
 
 
 class TestErrorPaths:

@@ -245,6 +245,132 @@ class TestPolyDet:
             poly_det([[1], [2], [3]][:2] + [[1, 2]])
 
 
+def _oracle_mul(p: dict, q: dict) -> dict:
+    """Product of two exponent-tuple term dicts, term by term."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _oracle_add(p: dict, q: dict, sign: int) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _oracle_det(rows, width: int) -> dict:
+    """Cofactor expansion along the first row, on exponent-tuple term dicts."""
+    if not rows:
+        return {(0,) * width: 1}
+    total = {}
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        piece = _oracle_mul(entry, _oracle_det(minor, width))
+        total = _oracle_add(total, piece, -1 if j % 2 else 1)
+    return total
+
+
+class TestPackedKernelEdges:
+    """Inputs that exercise the packed-monomial layout inside the kernels."""
+
+    def setup_method(self):
+        self.table = VarTable(["x", "y", "z"])
+        self.x, self.y, self.z = variables(self.table)
+
+    @pytest.mark.parametrize("big", [128, 200, 300, 40000, 2**40])
+    def test_wide_exponents_multiply(self, big):
+        # Degree bounds from 128 up need slots wider than one byte.
+        x, y = self.x, self.y
+        p = x**3 * y + 2 * y
+        q = SparsePoly(self.table, {(big, 0, 1): 1, (0, 1, 0): -3})
+        assert (p * q).terms == _oracle_mul(p.terms, q.terms)
+        assert (p * q).leading_term() == ((big + 3, 1, 1), 1)
+
+    @pytest.mark.parametrize("big", [100, 130, 300, 40000, 2**40])
+    def test_wide_exponents_divide(self, big):
+        x, y, z = self.x, self.y, self.z
+        lead = SparsePoly(self.table, {(big, 0, 0): 1})
+        assert exact_divide(lead * lead - y * y, lead - y) == lead + y
+        assert exact_divide(lead * z, x * y) is None
+        assert exact_divide(lead * x + 1, lead) is None
+
+    def test_wide_exponents_determinant(self):
+        x, y, z = self.x, self.y, self.z
+        high = SparsePoly(self.table, {(130, 0, 0): 1})
+        rows = [[high, y, 0], [z, high, x], [1, 0, high]]
+        expected = high**3 - y * (z * high - x)
+        assert poly_det(rows) == expected
+
+    def test_degrees_past_the_widest_slot_are_refused(self):
+        huge = SparsePoly(self.table, {(2**63, 0, 0): 1})
+        with pytest.raises(OverflowError):
+            huge * self.x
+
+    def test_negative_exponents_are_refused(self):
+        with pytest.raises(ValueError):
+            SparsePoly(self.table, {(1, -1, 0): 1})
+        with pytest.raises(ValueError):
+            SparsePoly.parse_text(self.table, "1 * x^-1")
+
+    def test_zero_variable_table(self):
+        table = VarTable([])
+        three, four = SparsePoly.const(table, 3), SparsePoly.const(table, 4)
+        assert (three * four).terms == {(): 12}
+        assert exact_divide(three * four, four) == 3
+        assert exact_divide(three, four) == Fraction(3, 4)
+        assert poly_det([[three, 1], [four, 2]]) == 2
+        assert poly_det([[three, four], [three, four]]).is_zero()
+        empty = poly_det([])
+        assert empty.table == table and empty.terms == {(): 1}
+
+    def test_negative_non_leading_exponent_is_not_divisible(self):
+        x, y, z = self.x, self.y, self.z
+        # The leading variable's exponent and the total degree both allow
+        # the step; only y (or z) would go negative, which the guard bit
+        # has to catch.
+        assert exact_divide(x**2, x * y) is None
+        assert exact_divide(x**3 * z, x * y * z) is None
+        assert exact_divide(x**2 * y, x * z) is None
+        assert exact_divide(x**2 * y + y**3, x * y - z**2) is None
+
+    def test_fraction_leading_coefficients(self):
+        x, y, z = self.x, self.y, self.z
+        den = x.scale(Fraction(2, 3)) + y.scale(Fraction(-1, 5)) + 1
+        quot = x * y - z.scale(Fraction(7, 2))
+        num = quot * den
+        assert exact_divide(num, den) == quot
+        assert exact_divide(num, quot) == den
+        assert exact_divide(num + x**3, den) is None
+        assert (den * den).terms == _oracle_mul(den.terms, den.terms)
+
+    def test_random_products_match_tuple_oracle(self):
+        rng = random.Random(11)
+        for max_exp in (1, 3, 60, 150, 300):
+            for _ in range(15):
+                p = _random_poly(rng, self.table, max_terms=6, max_exp=max_exp)
+                q = _random_poly(rng, self.table, max_terms=6, max_exp=max_exp)
+                assert (p * q).terms == _oracle_mul(p.terms, q.terms)
+
+    def test_random_determinants_match_cofactor_oracle(self):
+        rng = random.Random(12)
+        for max_exp in (1, 2, 70):
+            for _ in range(6):
+                n = rng.randint(1, 4)
+                rows = [
+                    [
+                        _random_poly(rng, self.table, max_terms=3, max_exp=max_exp)
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+                oracle = _oracle_det([[e.terms for e in row] for row in rows], 3)
+                assert poly_det(rows).terms == oracle
+
+
 class TestTextRoundtrip:
     def test_known_renderings(self):
         table = VarTable(["x", "y"])
