@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact
 from .builders import Matrix, GenericEntryTable, nbody_matrix, reduced_edm, w_matrix
 from .core import (
@@ -32,7 +30,7 @@ from .core import (
     distances,
 )
 from .polys import SparsePoly, poly_det
-from .scalars import all_exact
+from .scalars import all_exact, np, to_double
 
 VERDICT_PD = exact.VERDICT_PD
 VERDICT_PSD = exact.VERDICT_PSD
@@ -75,7 +73,12 @@ def determinant(matrix):
         return exact.det(rows)
     if n == 0:
         return 1.0
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+    return float(np.linalg.det(_doubles(rows)))
+
+
+def _doubles(rows):
+    """rows as a float array; ValueError for entries no finite double holds."""
+    return np.array([[to_double(v, "matrix entry") for v in row] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -83,12 +86,14 @@ class DefinitenessReport:
     """Verdict on a symmetric matrix, with supporting evidence.
 
     `min_eigenvalue` is a float certificate (informational in the exact
-    regime, decisive in the numeric one); `rank` counts positive pivots for
-    semidefinite exact matrices and thresholded eigenvalues otherwise.
+    regime, decisive in the numeric one); it is None for exact matrices
+    whose entries or eigenvalues do not fit finite doubles.  `rank` counts
+    positive pivots for semidefinite exact matrices and thresholded
+    eigenvalues otherwise.
     """
 
     verdict: str
-    min_eigenvalue: float
+    min_eigenvalue: float | None
     rank: int
     tol: float
     exact_regime: bool
@@ -100,6 +105,17 @@ class DefinitenessReport:
     @property
     def is_positive_semidefinite(self) -> bool:
         return self.verdict in (VERDICT_PD, VERDICT_PSD)
+
+
+def _float_min_eigenvalue(rows) -> float | None:
+    """Smallest eigenvalue of an exact matrix in doubles, or None when the
+    entries or the result do not fit finite doubles."""
+    try:
+        a = _doubles(rows)
+    except ValueError:
+        return None
+    eig = float(np.linalg.eigvalsh(a)[0])
+    return eig if math.isfinite(eig) else None
 
 
 def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
@@ -122,9 +138,8 @@ def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix is not symmetric")
         verdict, rank = exact.psd_verdict(rows)
-        eigs = np.linalg.eigvalsh(np.array([[float(v) for v in r] for r in rows]))
-        return DefinitenessReport(verdict, float(eigs[0]), rank, tol, True)
-    a = np.array(rows, dtype=float)
+        return DefinitenessReport(verdict, _float_min_eigenvalue(rows), rank, tol, True)
+    a = _doubles(rows)
     scale = float(np.max(np.abs(a))) if n else 0.0
     if not np.allclose(a, a.T, atol=tol * max(scale, 1.0), rtol=0.0):
         raise ValueError("matrix is not symmetric beyond tolerance")
@@ -189,9 +204,7 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
     n = r.n
     if n == 1:
         return EmbeddingResult(PointConfiguration([()]), 0, 0.0)
-    m = np.array(
-        [[float(v) for v in row] for row in reduced_edm(r, n - 1).to_lists()]
-    )
+    m = _doubles(reduced_edm(r, n - 1).to_lists())
     m = (m + m.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(m)
     thr = tol * max(float(np.max(np.abs(eigvals))), 1.0) if eigvals.size else 0.0

@@ -112,6 +112,8 @@ def _load_entry_table(path: str, exact: bool) -> GenericEntryTable:
         raise InputFormatError(
             f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
     return GenericEntryTable.from_json_dict(doc, exact)
 
 
@@ -178,7 +180,7 @@ def _cmd_check(args) -> int:
     min_eig = report.min_eigenvalue
     doc = {
         "membership": membership,
-        "min_eigenvalue": None if math.isinf(min_eig) else min_eig,
+        "min_eigenvalue": None if min_eig is None or math.isinf(min_eig) else min_eig,
         "rank": report.rank,
     }
     _emit(json.dumps(doc), args.out)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import exact
 from .scalars import (
     all_exact,
@@ -28,6 +26,7 @@ from .scalars import (
     format_number,
     is_exact,
     loads_with_exact_numbers,
+    np,
 )
 
 
@@ -139,6 +138,13 @@ def _as_pair(pair_or_i, j=None) -> PairIndex:
     return PairIndex(*pair_or_i)
 
 
+def _finite_squares(squared: tuple) -> tuple:
+    """Refuse float squared distances that are NaN or past the double range."""
+    if any(isinstance(v, float) and not math.isfinite(v) for v in squared):
+        raise ValueError("squared distances must be finite doubles")
+    return squared
+
+
 class DistanceVector:
     """Interpoint distances for n points, stored through squared values.
 
@@ -158,7 +164,7 @@ class DistanceVector:
         self.n = n
         self.space = space
         self._r = tuple(seq)
-        self._sq = tuple(v * v for v in seq)
+        self._sq = _finite_squares(tuple(v * v for v in seq))
 
     @staticmethod
     def _as_sequence(values, space: PairSpace):
@@ -188,7 +194,7 @@ class DistanceVector:
                     raise ValueError("squared distances must be nonnegative")
         self.n = n
         self.space = space
-        self._sq = tuple(seq)
+        self._sq = _finite_squares(tuple(seq))
         self._r = None
         return self
 
@@ -249,6 +255,8 @@ class DistanceVector:
         n = obj["n"]
         if not isinstance(n, int) or n < 1:
             raise InputFormatError('field "n" must be a positive integer')
+        if not isinstance(obj["r"], dict):
+            raise InputFormatError('field "r" must be an object keyed by pair labels')
         entries = {}
         for label, value in obj["r"].items():
             pair = parse_pair_label(label, n)
@@ -348,6 +356,8 @@ def _loads(text: str, exact: bool):
         raise InputFormatError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

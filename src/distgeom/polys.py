@@ -76,6 +76,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _canonical(coeff):
+    """Integral Fractions become ints, as every stored coefficient is."""
+    if isinstance(coeff, Fraction) and coeff.denominator == 1:
+        return coeff.numerator
+    return coeff
+
+
 # Slot width in bytes -> struct code of one unsigned big-endian slot.
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -144,8 +151,7 @@ class SparsePoly:
                 raise ValueError("exponent tuple width does not match table")
             if exp and min(exp) < 0:
                 raise ValueError("exponents must be nonnegative")
-            if isinstance(coeff, Fraction) and coeff.denominator == 1:
-                coeff = coeff.numerator
+            coeff = _canonical(coeff)
             if coeff:
                 clean[exp] = coeff
         self.terms = clean
@@ -164,8 +170,7 @@ class SparsePoly:
 
     @classmethod
     def const(cls, table: VarTable, value) -> "SparsePoly":
-        if isinstance(value, Fraction) and value.denominator == 1:
-            value = value.numerator
+        value = _canonical(value)
         if not value:
             return cls.zero(table)
         return cls._raw(table, {(0,) * len(table): value})
@@ -221,7 +226,7 @@ class SparsePoly:
             if not other:
                 return SparsePoly.zero(self.table)
             return SparsePoly._raw(
-                self.table, {e: c * other for e, c in self.terms.items()}
+                self.table, {e: _canonical(c * other) for e, c in self.terms.items()}
             )
         if not isinstance(other, SparsePoly):
             return NotImplemented
@@ -425,9 +430,14 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
         shift = key - den_key
         if shift < 0 or shift & guard:
             return None
-        q_coeff = Fraction(coeff) / den_coeff if den_coeff != 1 else coeff
-        if isinstance(q_coeff, Fraction) and q_coeff.denominator == 1:
-            q_coeff = q_coeff.numerator
+        if den_coeff == 1:
+            q_coeff = coeff
+        elif type(coeff) is int and type(den_coeff) is int:
+            q_coeff, rem = divmod(coeff, den_coeff)
+            if rem:
+                q_coeff = Fraction(coeff, den_coeff)
+        else:
+            q_coeff = _canonical(Fraction(coeff) / den_coeff)
         # Leading monomials strictly decrease, so every shift is new.
         quotient[shift] = q_coeff
         for k, c in den_rest:

@@ -6,15 +6,37 @@ work.  Nothing in the package converts implicitly between the two; callers
 pick a regime by the scalars they pass in, and the helpers here classify
 values and serialize them in a stable way.  Non-integer rationals travel
 through JSON as "p/q" strings.
+
+Only the numeric regime needs numpy, so the package reaches it through
+`np` below, which imports numpy on first attribute access: exact work
+never pays for loading it.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import types
 from fractions import Fraction
 
 Number = int | float | Fraction
+
+
+class _LazyModule(types.ModuleType):
+    """Stand-in for a module that imports it on first attribute access.
+
+    Each attribute read through the stand-in is cached on it, so later
+    reads cost a plain attribute lookup.
+    """
+
+    def __getattr__(self, name):
+        value = getattr(importlib.import_module(self.__name__), name)
+        setattr(self, name, value)
+        return value
+
+
+np = _LazyModule("numpy")
 
 
 def is_exact(value) -> bool:
@@ -37,8 +59,23 @@ def parse_number(text: str, exact: bool) -> Number:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a number: {text!r}") from exc
     if not exact:
-        return float(value)
+        return to_double(value, repr(text))
     return value.numerator if value.denominator == 1 else value
+
+
+def to_double(value, shown: str = "number") -> float:
+    """float(value), refusing what no finite double holds.
+
+    Raises ValueError for NaN, infinities and values past the double range
+    (where float() itself would raise OverflowError or return inf).
+    """
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"{shown} is not a finite double")
+    return result
 
 
 def coerce_json_number(value, exact: bool) -> Number:
@@ -50,8 +87,9 @@ def coerce_json_number(value, exact: bool) -> Number:
     if isinstance(value, (int, Fraction)):
         if exact:
             return value
-        return float(value)
+        return to_double(value)
     if isinstance(value, float):
+        value = to_double(value)
         if exact:
             frac = Fraction(value)
             return frac.numerator if frac.denominator == 1 else frac
@@ -70,15 +108,24 @@ def format_number(value: Number):
     return value
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    return to_double(text, repr(text))
+
+
 def loads_with_exact_numbers(text: str, exact: bool):
     """json.loads with decimal literals kept exact in the exact regime.
 
     The parse_float hook sees the raw literal text, so "0.1" becomes the
-    rational 1/10 instead of the nearest double.
+    rational 1/10 instead of the nearest double; in the numeric regime it
+    refuses literals past the double range.  `NaN`, `Infinity` and
+    `-Infinity` are refused in both regimes.  Refusals raise ValueError.
     """
-    if exact:
-        return json.loads(text, parse_float=Fraction)
-    return json.loads(text)
+    parse_float = Fraction if exact else _finite_float
+    return json.loads(text, parse_float=parse_float, parse_constant=_refuse_constant)
 
 
 def exact_sqrt(value):

@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact, sampling
 from .analysis import (
     MEMBER_OUTSIDE,
@@ -60,6 +58,7 @@ from .factorization import (
     w_matches_minus_nbody,
 )
 from .polys import VarTable, poly_det
+from .scalars import np
 
 
 @dataclass
@@ -81,9 +80,9 @@ def _result(name: str, failures: list[str], summary: str, checks: int) -> SuiteR
     return SuiteResult(name, True, [summary])
 
 
-def _require_two_points(n_max: int):
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
+def _require_points(n_max: int, least: int = 2):
+    if n_max < least:
+        raise ValueError(f"n_max must be at least {least}, got {n_max}")
 
 
 def _hadamard_scale(rows) -> float:
@@ -109,7 +108,7 @@ def signs_suite(
     (-1)^n sigma > 0.  Constructed singular configurations drive the
     numeric determinant to zero at the Hadamard scale.
     """
-    _require_two_points(n_max)
+    _require_points(n_max)
     rng = random.Random(seed)
     failures: list[str] = []
     ns = [n for n in range(2, n_max + 1)]
@@ -121,9 +120,10 @@ def signs_suite(
         b = nbody_matrix(alpha, r)
         report = definiteness(b.map(float), tol)
         if report.verdict != VERDICT_PD:
+            eig = report.min_eigenvalue
             failures.append(
                 f"sample {idx}: n={n} interaction matrix not numerically PD "
-                f"(min eigenvalue {report.min_eigenvalue:.3e})"
+                f"(min eigenvalue {'n/a' if eig is None else f'{eig:.3e}'})"
             )
             continue
         det_b = exact.det(b.to_lists())
@@ -162,7 +162,7 @@ def signs_suite(
 def cmdk_suite(seed: int = 0, samples: int = 100, n_max: int = 7) -> SuiteResult:
     """The bordered determinant equals (-1)^n times every reduced
     determinant, exactly, for every base point."""
-    _require_two_points(n_max)
+    _require_points(n_max)
     rng = random.Random(seed)
     failures: list[str] = []
     checked = 0
@@ -196,6 +196,7 @@ def roundtrip_suite(
     classified outside and refused by the embedding with a negative
     eigenvalue certificate.
     """
+    _require_points(n_max)
     rng = random.Random(seed)
     failures: list[str] = []
     checked = 1  # the non-realizable triple below
@@ -352,6 +353,7 @@ def menger_suite(seed: int = 0, samples: int = 100, n_max: int = 6) -> SuiteResu
     Both sides are exact rationals here, so agreement is exact; the unit
     equilateral triangle case pins the value 3/16.
     """
+    _require_points(n_max)
     rng = random.Random(seed)
     failures: list[str] = []
     for idx in range(samples):
@@ -431,6 +433,7 @@ def heron_suite() -> SuiteResult:
 def kernel_suite(seed: int = 0, samples: int = 20, n_max: int = 5) -> SuiteResult:
     """Kernel witnesses from singular tables annihilate the generalized
     matrix for arbitrary second tables, exactly."""
+    _require_points(n_max, 3)
     rng = random.Random(seed)
     failures: list[str] = []
     for idx in range(samples):

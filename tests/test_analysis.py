@@ -77,6 +77,18 @@ class TestDefiniteness:
             assert report.rank == rank, rows
             assert report.exact_regime
 
+    def test_exact_verdict_without_a_double_eigenvalue(self):
+        # Entries past the double range leave the informational float
+        # eigenvalue out; the exact verdict is unaffected.
+        for rows, verdict in [
+            ([[10**400, 0], [0, 1]], VERDICT_PD),
+            ([[1, Fraction(10**400, 3)], [Fraction(10**400, 3), 1]], VERDICT_INDEFINITE),
+        ]:
+            report = definiteness(Matrix(rows))
+            assert report.verdict == verdict
+            assert report.min_eigenvalue is None
+        assert definiteness(Matrix([[2, 1], [1, 2]])).min_eigenvalue == pytest.approx(1.0)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             definiteness(Matrix([[0, 1], [2, 0]]))

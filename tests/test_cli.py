@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, file IO, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,16 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["membership"] == "interior"
 
+    def test_huge_exact_values_keep_the_exact_verdict(self, capsys):
+        # Squared entries of 1e400 fit no double, so the informational
+        # eigenvalue is absent while the exact verdict stands.
+        code, out, err = _run(capsys, "check", "--r", "1e200,1e200,1e200")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["membership"] == "interior"
+        assert doc["min_eigenvalue"] is None
+        assert doc["rank"] == 2
+
     def test_boundary(self, capsys):
         code, out, _ = _run(capsys, "check", "--r", "1,1,2")
         doc = json.loads(out)
@@ -200,7 +213,7 @@ class TestVerify:
         _, second, _ = _run(capsys, *args)
         assert first == second
 
-    @pytest.mark.parametrize("suite", ["signs", "cmdk"])
+    @pytest.mark.parametrize("suite", ["signs", "cmdk", "roundtrip", "menger", "kernel"])
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_fewer_than_two_points_exits_two(self, capsys, suite, n):
         code, out, err = _run(capsys, "verify", suite, "--n", n, "--samples", "3")
@@ -263,3 +276,106 @@ class TestErrorPaths:
     def test_negative_distance_exits_two(self, capsys):
         code, _, _ = _run(capsys, "check", "--r", "1,1,-2")
         assert code == 2
+
+
+def _one_error_line(code, out, err):
+    lines = err.splitlines()
+    return code == 2 and out == "" and len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestNonFiniteAndMalformedInput:
+    NAN_DOC = '{"n": 3, "r": {"1,2": NaN, "1,3": 1, "2,3": 1}}'
+    INF_DOC = '{"n": 3, "r": {"1,2": Infinity, "1,3": 1, "2,3": 1}}'
+    LIST_DOC = '{"n": 3, "r": [1, 1, 1]}'
+
+    # `embed --mode numeric` on the NaN document used to answer d = 0.
+    @pytest.mark.parametrize("verb", ["check", "embed"])
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    @pytest.mark.parametrize(
+        "doc",
+        [NAN_DOC, INF_DOC, INF_DOC.replace("Infinity", "-Infinity")],
+        ids=["nan", "inf", "neg-inf"],
+    )
+    def test_non_finite_json_exits_two(self, capsys, tmp_path, doc, mode, verb):
+        path = tmp_path / "r.json"
+        path.write_text(doc)
+        code, out, err = _run(capsys, verb, "--mode", mode, "--input", str(path))
+        assert _one_error_line(code, out, err)
+        assert "non-finite" in err
+
+    def test_non_finite_entry_table_exits_two(self, capsys, tmp_path):
+        s = tmp_path / "s.json"
+        s.write_text('{"n": 2, "entries": [[0, NaN], [1, 0]]}')
+        code, out, err = _run(capsys, "build", "w", "--s", str(s), "--t", str(s))
+        assert _one_error_line(code, out, err)
+        assert "non-finite number NaN" in err
+
+    def test_r_as_list_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(self.LIST_DOC)
+        code, out, err = _run(capsys, "check", "--input", str(path))
+        assert _one_error_line(code, out, err)
+        assert '"r"' in err
+
+    def test_numeric_literal_past_double_range_exits_two(self, capsys):
+        code, out, err = _run(capsys, "check", "--mode", "numeric", "--r", "1e999,1,1")
+        assert _one_error_line(code, out, err)
+        assert "'1e999' is not a finite double" in err
+
+    def test_numeric_json_literal_past_double_range_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"n": 3, "r": {"1,2": 1e999, "1,3": 1, "2,3": 1}}')
+        code, out, err = _run(
+            capsys, "embed", "--mode", "numeric", "--input", str(path)
+        )
+        assert _one_error_line(code, out, err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Squares past the double range.
+            ("check", "--mode", "numeric", "--r", "1e200,1e200,1e200"),
+            ("embed", "--mode", "numeric", "--r", "1e200,1e200,1e200"),
+            # Finite squares whose reduced-matrix entries overflow.
+            ("check", "--mode", "numeric", "--r", "1e154,1e154,1e154"),
+            ("embed", "--mode", "numeric", "--r", "1e154,1e154,1e154"),
+            # Exact input that the float embedding cannot hold.
+            ("embed", "--r", "1e200,1e200,1e200"),
+        ],
+    )
+    def test_values_past_the_double_range_exit_two(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert _one_error_line(code, out, err)
+        assert "finite double" in err
+
+    def test_exact_mode_keeps_huge_literals(self, capsys):
+        code, out, _ = _run(capsys, "det", "edm", "--r", "1e999")
+        assert code == 0
+        assert out.strip() == str(-(10 ** 3996))
+
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+from distgeom.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+run("build", "redm", "--r", "1,1,1", "--k", "1")
+run("det", "cm", "--r", "1,1,1")
+run("factor", "--n", "3")
+run("verify", "cmdk", "--samples", "2")
+assert "numpy" not in sys.modules, "an exact subcommand loaded numpy"
+run("embed", "--r", "1,1,1")
+assert "numpy" in sys.modules, "embed ran without numpy"
+"""
+
+
+def test_exact_subcommands_do_not_import_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -70,6 +70,16 @@ class TestArithmetic:
         p = x * Fraction(1, 2) + Fraction(1, 2)
         assert p + p == x + 1
 
+    def test_scalar_products_store_integral_coefficients_as_int(self):
+        x, y = self.x, self.y
+        p = (x.scale(Fraction(1, 2)) + y.scale(Fraction(3, 4))) * 4
+        assert p.terms == {(1, 0): 2, (0, 1): 3}
+        assert {type(c) for c in p.terms.values()} == {int}
+        q = x * Fraction(6, 2)
+        assert {type(c) for c in q.terms.values()} == {int}
+        r = (x + y) * Fraction(1, 2)
+        assert {type(c) for c in r.terms.values()} == {Fraction}
+
     def test_power(self):
         x, y = self.x, self.y
         assert (x + y) ** 2 == x**2 + 2 * x * y + y**2
@@ -196,6 +206,17 @@ class TestExactDivide:
     def test_fractional_leading_coefficients(self):
         x = self.x
         assert exact_divide(x**2 - 1, x.scale(2) + 2) == x.scale(Fraction(1, 2)) - Fraction(1, 2)
+
+    def test_non_unit_leading_coefficient_quotient_types(self):
+        x, y = self.x, self.y
+        # Integral quotient coefficients come back as int; the others as Fraction.
+        q = exact_divide((x.scale(2) + 1) * (x.scale(3) + y), x.scale(3) + y)
+        assert q.terms == {(1, 0): 2, (0, 0): 1}
+        assert {type(c) for c in q.terms.values()} == {int}
+        q = exact_divide((x.scale(Fraction(1, 2)) + 1) * (x.scale(2) + 3), x.scale(2) + 3)
+        assert q.terms == {(1, 0): Fraction(1, 2), (0, 0): 1}
+        assert type(q.terms[(1, 0)]) is Fraction
+        assert type(q.terms[(0, 0)]) is int
 
 
 class TestPolyDet:
