@@ -60,7 +60,8 @@ def determinant(matrix):
     """Determinant in the regime of the entries.
 
     Polynomial entries use exact symbolic expansion, rational entries use
-    fraction-free elimination, and float entries use LU factorization.
+    fraction-free elimination, and float entries use LU factorization,
+    which raises OverflowError when the result is not a finite double.
     """
     rows = _rows(matrix)
     n = len(rows)
@@ -73,7 +74,11 @@ def determinant(matrix):
         return exact.det(rows)
     if n == 0:
         return 1.0
-    return float(np.linalg.det(_doubles(rows)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.linalg.det(_doubles(rows)))
+    if not math.isfinite(value):
+        raise OverflowError("numeric determinant is not a finite double")
+    return value
 
 
 def _doubles(rows):
@@ -165,14 +170,19 @@ def cone_membership(r: DistanceVector, tol: float = 1e-10) -> str:
     The reduced matrix at the last base point is positive definite exactly
     for interior vectors (realizable in no affine subspace of dimension
     n-2), semidefinite on the boundary, and indefinite outside, in which
-    case no point configuration realizes r.
+    case no point configuration realizes r.  Exact vectors take the exact
+    pivoting verdict alone, with no float eigenvalue.
     """
     if r.n == 1:
         return MEMBER_INTERIOR
-    report = definiteness(reduced_edm(r, r.n - 1), tol)
-    if report.verdict == VERDICT_PD:
+    reduced = reduced_edm(r, r.n - 1)
+    if r.is_exact():
+        verdict = exact.psd_verdict(reduced.to_lists())[0]
+    else:
+        verdict = definiteness(reduced, tol).verdict
+    if verdict == VERDICT_PD:
         return MEMBER_INTERIOR
-    if report.verdict == VERDICT_PSD:
+    if verdict == VERDICT_PSD:
         return MEMBER_BOUNDARY
     return MEMBER_OUTSIDE
 

@@ -15,7 +15,6 @@ from .core import (
     DimensionMismatch,
     DistanceVector,
     InputFormatError,
-    PairIndex,
     PairSpace,
     alpha_values,
 )
@@ -238,9 +237,12 @@ def reduced_edm(r: DistanceVector, k: int) -> Matrix:
     if not (0 <= k < n):
         raise DimensionMismatch(f"base point {k} out of range for n={n}")
     others = [i for i in range(n) if i != k]
-    rows = []
-    for i in others:
-        rows.append([r.sq(i, k) + r.sq(j, k) - r.sq(i, j) for j in others])
+    to_k = [r.sq(i, k) for i in others]
+    rows = [[None] * (n - 1) for _ in others]
+    for a, i in enumerate(others):
+        rows[a][a] = to_k[a] + to_k[a]
+        for b in range(a + 1, n - 1):
+            rows[a][b] = rows[b][a] = to_k[a] + to_k[b] - r.sq(i, others[b])
     labels = [str(i + 1) for i in others]
     return Matrix(rows, row_labels=labels, col_labels=labels)
 
@@ -320,9 +322,9 @@ def lift_reduced(mk: Matrix, n: int, k: int) -> Matrix:
     size = space.size
     rows = [[0] * size for _ in range(size)]
     for a, i in enumerate(others):
-        ra = space.rank(PairIndex(i, k))
+        ra = space.index(i, k)
         for b, j in enumerate(others):
-            rb = space.rank(PairIndex(j, k))
+            rb = space.index(j, k)
             rows[ra][rb] = mk[a, b]
     labels = pair_labels(n)
     return Matrix(rows, row_labels=labels, col_labels=labels)

@@ -77,6 +77,19 @@ def _infer_n_from_pairs(count: int) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a finite, nonnegative double."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and nonnegative, got {text!r}"
+        )
+    return value
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -159,7 +172,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_det(args) -> int:
     matrix = _build_matrix(args, args.mode == "exact")
-    value = determinant(matrix)
+    try:
+        value = determinant(matrix)
+    except OverflowError as exc:
+        raise InputFormatError(f"{exc}; use --mode exact") from exc
     rendered = format_number(value)
     _emit(rendered if isinstance(rendered, str) else repr(rendered), args.out)
     return EXIT_OK
@@ -265,7 +281,7 @@ def _add_common(parser: argparse.ArgumentParser):
         "--mode", choices=("exact", "numeric"), default="exact",
         help="scalar regime for parsed values (default exact)",
     )
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=_tolerance, default=1e-10,
                         help="relative tolerance for numeric verdicts")
     parser.add_argument("--out", help="write output to this file instead of stdout")
 

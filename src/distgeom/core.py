@@ -105,7 +105,10 @@ class PairSpace:
             raise ValueError("pair space needs n >= 1")
         self.n = n
         self._pairs = tuple(PairIndex(i, j) for i, j in combinations(range(n), 2))
-        self._rank = {pair: k for k, pair in enumerate(self._pairs)}
+        # Both orders of every point pair -> its rank: one lookup, no PairIndex.
+        self._index = {}
+        for k, pair in enumerate(self._pairs):
+            self._index[pair.i, pair.j] = self._index[pair.j, pair.i] = k
 
     @property
     def size(self) -> int:
@@ -116,9 +119,14 @@ class PairSpace:
         return self._pairs
 
     def rank(self, pair: PairIndex) -> int:
-        if pair not in self._rank:
-            raise ValueError(f"pair {pair} not in a space on {self.n} points")
-        return self._rank[pair]
+        return self.index(pair.i, pair.j)
+
+    def index(self, i: int, j: int) -> int:
+        """Rank of the pair {i, j} given by two distinct point indices."""
+        k = self._index.get((i, j))
+        if k is None:
+            raise ValueError(f"pair {(i, j)} not in a space on {self.n} points")
+        return k
 
     def unrank(self, k: int) -> PairIndex:
         return self._pairs[k]
@@ -203,8 +211,8 @@ class DistanceVector:
         if i == j:
             return 0
         if self._r is not None:
-            return self._r[self.space.rank(PairIndex(i, j))]
-        sq = self._sq[self.space.rank(PairIndex(i, j))]
+            return self._r[self.space.index(i, j)]
+        sq = self._sq[self.space.index(i, j)]
         if is_exact(sq):
             root = exact_sqrt(sq)
             if root is not None:
@@ -215,7 +223,7 @@ class DistanceVector:
         """Squared distance between points i and j (0 when i == j)."""
         if i == j:
             return 0
-        return self._sq[self.space.rank(PairIndex(i, j))]
+        return self._sq[self.space.index(i, j)]
 
     @property
     def squared_values(self) -> tuple:

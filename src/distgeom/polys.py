@@ -199,7 +199,7 @@ class SparsePoly:
         self._check_table(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            total = out.get(exp, 0) + coeff
+            total = _canonical(out.get(exp, 0) + coeff)
             if total:
                 out[exp] = total
             else:
@@ -239,6 +239,10 @@ class SparsePoly:
             small, large = large, small
         out: dict = {}
         _mul_add(small, large, out)
+        if any(type(c) is Fraction for c in self.terms.values()) or any(
+            type(c) is Fraction for c in other.terms.values()
+        ):
+            out = {k: _canonical(c) for k, c in out.items()}
         return SparsePoly._raw(self.table, packing.unpack(out))
 
     __rmul__ = __mul__
@@ -401,8 +405,10 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
     fast.  The division runs on packed monomials (see the module
     docstring): the remainder is a dict keyed by packed ints with a heap
     of its keys, and the divisibility test is the guard-bit test.  The
-    quotient comes back with exponent tuples and is verified by one
-    multiplication before returning.
+    loop ends only once the remainder is empty with every leading term
+    divided, which proves num == quotient * den; no re-multiplication
+    follows (a certificate re-multiplies its whole product once).  The
+    quotient comes back with exponent tuples.
     """
     if not isinstance(num, SparsePoly) or not isinstance(den, SparsePoly):
         raise TypeError("exact_divide expects two polynomials")
@@ -452,10 +458,7 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
                     remainder[target] = total
                 else:
                     del remainder[target]
-    result = SparsePoly._raw(num.table, packing.unpack(quotient))
-    if result * den != num:
-        return None
-    return result
+    return SparsePoly._raw(num.table, packing.unpack(quotient))
 
 
 def _entry_rows(matrix):

@@ -41,7 +41,6 @@ from .builders import (
 from .core import (
     DistanceVector,
     NotEmbeddableError,
-    PairIndex,
     PairSpace,
     PointConfiguration,
     affine_rank,
@@ -330,7 +329,7 @@ def forms_suite(seed: int = 0, samples: int = 100, tol: float = 1e-9) -> SuiteRe
         for k in range(n):
             mk = reduced_edm(r, k)
             others = [i for i in range(n) if i != k]
-            zk = [z[space.rank(PairIndex(i, k))] for i in others]
+            zk = [z[space.index(i, k)] for i in others]
             rhs += alpha[k] * sum(
                 mk[a, c] * zk[a] * zk[c]
                 for a in range(len(others))

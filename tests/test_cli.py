@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,45 @@ class TestNonFiniteAndMalformedInput:
         code, out, _ = _run(capsys, "det", "edm", "--r", "1e999")
         assert code == 0
         assert out.strip() == str(-(10 ** 3996))
+
+    # Finite entries (1e308) whose LU product overflows: this printed -inf
+    # with exit 0 and a numpy overflow warning.
+    def test_numeric_det_overflow_exits_two(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(
+                capsys, "det", "cm", "--mode", "numeric", "--r", "1e154,1e154,1e154"
+            )
+        assert _one_error_line(code, out, err)
+        assert "--mode exact" in err
+        code, out, _ = _run(capsys, "det", "cm", "--r", "1e154,1e154,1e154")
+        assert code == 0
+        assert out.strip() == str(-3 * 10 ** 616)
+
+
+class TestTolerance:
+    # `check --mode numeric --tol nan` answered "outside" for an
+    # equilateral triangle, and `embed --tol nan` answered d = 0.
+    @pytest.mark.parametrize("verb", ["check", "embed"])
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5", "-1e-10", "abc"])
+    def test_bad_tolerance_is_refused_at_parse_time(self, capsys, verb, mode, tol):
+        with pytest.raises(SystemExit) as exc_info:
+            main([verb, "--mode", mode, "--r", "1,1,1", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--tol" in errors[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("tol", ["0", "1e-6"])
+    def test_finite_nonnegative_tolerance_is_accepted(self, capsys, tol):
+        code, out, _ = _run(
+            capsys, "check", "--mode", "numeric", "--r", "1,1,1", "--tol", tol
+        )
+        assert code == 0
+        assert json.loads(out)["membership"] == "interior"
 
 
 IMPORT_PROBE = """

@@ -80,6 +80,23 @@ class TestArithmetic:
         r = (x + y) * Fraction(1, 2)
         assert {type(c) for c in r.terms.values()} == {Fraction}
 
+    def test_polynomial_products_and_sums_store_integral_coefficients_as_int(self):
+        x, y = self.x, self.y
+        half_x = x.scale(Fraction(1, 2))
+        product = half_x * y.scale(2)
+        assert product.terms == {(1, 1): 1}
+        assert type(product.terms[(1, 1)]) is int
+        total = half_x + half_x
+        assert total.terms == {(1, 0): 1}
+        assert type(total.terms[(1, 0)]) is int
+        difference = x.scale(Fraction(3, 2)) - half_x
+        assert difference.terms == {(1, 0): 1}
+        assert type(difference.terms[(1, 0)]) is int
+        mixed = (half_x + y) * (x.scale(2) + y.scale(Fraction(1, 3)))
+        assert {type(c) for c in mixed.terms.values()} == {int, Fraction}
+        assert mixed.terms[(2, 0)] == 1 and type(mixed.terms[(2, 0)]) is int
+        assert mixed.terms[(0, 2)] == Fraction(1, 3)
+
     def test_power(self):
         x, y = self.x, self.y
         assert (x + y) ** 2 == x**2 + 2 * x * y + y**2
