@@ -164,6 +164,25 @@ def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
     return DefinitenessReport(verdict, min_eig, rank, tol, False)
 
 
+def _integer_reduced(r: DistanceVector):
+    """(L M as int rows, L, psd_verdict(rows)) for an exact vector, memoized
+    on r: L clears the squared distances, M = 2G is `reduced_edm` at the
+    last base point, built on the integer-scaled vector."""
+    if r.reduced_memo is None:
+        scale = math.lcm(*(v.denominator for v in r.squared_values))
+        scaled = [v.numerator * (scale // v.denominator) for v in r.squared_values]
+        rows = reduced_edm(DistanceVector.from_squared(r.n, scaled), r.n - 1).to_lists()
+        r.reduced_memo = rows, scale, exact.psd_verdict(rows)
+    return r.reduced_memo
+
+
+MEMBERSHIP = {
+    VERDICT_PD: MEMBER_INTERIOR,
+    VERDICT_PSD: MEMBER_BOUNDARY,
+    VERDICT_INDEFINITE: MEMBER_OUTSIDE,
+}
+
+
 def cone_membership(r: DistanceVector, tol: float = 1e-10) -> str:
     """Locate a distance vector relative to the realizable cone.
 
@@ -171,20 +190,12 @@ def cone_membership(r: DistanceVector, tol: float = 1e-10) -> str:
     for interior vectors (realizable in no affine subspace of dimension
     n-2), semidefinite on the boundary, and indefinite outside, in which
     case no point configuration realizes r.  Exact vectors take the exact
-    pivoting verdict alone, with no float eigenvalue.
+    pivoting verdict on the shared integer reduced matrix, with no float
+    eigenvalue.
     """
-    if r.n == 1:
-        return MEMBER_INTERIOR
-    reduced = reduced_edm(r, r.n - 1)
     if r.is_exact():
-        verdict = exact.psd_verdict(reduced.to_lists())[0]
-    else:
-        verdict = definiteness(reduced, tol).verdict
-    if verdict == VERDICT_PD:
-        return MEMBER_INTERIOR
-    if verdict == VERDICT_PSD:
-        return MEMBER_BOUNDARY
-    return MEMBER_OUTSIDE
+        return MEMBERSHIP[_integer_reduced(r)[2][0]]
+    return MEMBERSHIP[definiteness(reduced_edm(r, r.n - 1), tol).verdict]
 
 
 @dataclass(frozen=True)
@@ -208,13 +219,22 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
     above tol * max(|lambda|, 1), and read points off the rows of
     sqrt(lambda/2) Q^T with the last point pinned at the origin.  The
     minimal embedding dimension is the count of retained eigenvalues.
-    Distance vectors outside the cone are refused, with the offending
-    eigenvalue attached to the error.
+    Exact vectors read M off the shared integer reduced matrix L M as
+    doubles v / L, each rounded once, as float(Fraction) would.  Distance
+    vectors outside the cone are refused, with the offending eigenvalue
+    attached to the error.
     """
     n = r.n
     if n == 1:
         return EmbeddingResult(PointConfiguration([()]), 0, 0.0)
-    m = _doubles(reduced_edm(r, n - 1).to_lists())
+    if r.is_exact():
+        rows, scale, _ = _integer_reduced(r)
+        try:
+            m = np.array([[v / scale for v in row] for row in rows])
+        except OverflowError:
+            raise ValueError("matrix entry is not a finite double") from None
+    else:
+        m = _doubles(reduced_edm(r, n - 1).to_lists())
     m = (m + m.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(m)
     thr = tol * max(float(np.max(np.abs(eigvals))), 1.0) if eigvals.size else 0.0
@@ -247,23 +267,27 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
 def simplex_volume_sq(r: DistanceVector, tol: float = 1e-10):
     """Squared (n-1)-volume of the simplex with the given edge lengths.
 
-    Obtained from the bordered squared-distance determinant divided by
-    (-1)^n 2^(n-1) ((n-1)!)^2; exact for rational input.  Distance vectors
-    outside the realizable cone are refused.
+    For exact vectors V^2 = det M / (2^(n-1) ((n-1)!)^2), read off the
+    shared integer reduced matrix L M: 0 on the boundary, and
+    det(L M) / L^(n-1) in the interior.  Float vectors divide the bordered
+    squared-distance determinant by (-1)^n 2^(n-1) ((n-1)!)^2.  Distance
+    vectors outside the realizable cone are refused.
     """
-    from .builders import cayley_menger
-
-    if cone_membership(r, tol) == MEMBER_OUTSIDE:
-        raise NotEmbeddableError(
-            "no simplex realizes this distance vector", math.nan
-        )
     n = r.n
-    delta = determinant(cayley_menger(r))
-    divisor = (-1) ** n * 2 ** (n - 1) * math.factorial(n - 1) ** 2
-    if all_exact([delta]):
-        value = Fraction(delta, divisor)
-        return value.numerator if value.denominator == 1 else value
-    return delta / divisor
+    divisor = 2 ** (n - 1) * math.factorial(n - 1) ** 2
+    if not r.is_exact():
+        from .builders import cayley_menger
+
+        if cone_membership(r, tol) == MEMBER_OUTSIDE:
+            raise NotEmbeddableError("no simplex realizes this distance vector", math.nan)
+        return determinant(cayley_menger(r)) / ((-1) ** n * divisor)
+    rows, scale, (verdict, _) = _integer_reduced(r)
+    if verdict == VERDICT_INDEFINITE:
+        raise NotEmbeddableError("no simplex realizes this distance vector", math.nan)
+    if verdict == VERDICT_PSD:
+        return 0
+    value = Fraction(exact.det(rows), scale ** (n - 1) * divisor)
+    return value.numerator if value.denominator == 1 else value
 
 
 def edm_quadratic_form(r: DistanceVector, x):

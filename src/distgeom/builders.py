@@ -17,6 +17,7 @@ from .core import (
     InputFormatError,
     PairSpace,
     alpha_values,
+    json_natural,
 )
 from .scalars import coerce_json_number, format_number
 
@@ -181,12 +182,13 @@ class GenericEntryTable:
     def from_json_dict(cls, obj: dict, exact: bool = True) -> "GenericEntryTable":
         if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
             raise InputFormatError('entry-table JSON must have fields "n" and "entries"')
+        n = json_natural(obj, "n", 0)
         entries = obj["entries"]
-        if not isinstance(entries, list) or len(entries) != obj["n"]:
+        if not isinstance(entries, list) or len(entries) != n:
             raise InputFormatError('field "entries" must list exactly n rows')
         parsed = []
         for row in entries:
-            if not isinstance(row, list) or len(row) != obj["n"]:
+            if not isinstance(row, list) or len(row) != n:
                 raise InputFormatError("every entry row must list exactly n values")
             try:
                 parsed.append([coerce_json_number(v, exact) for v in row])

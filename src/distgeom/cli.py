@@ -17,12 +17,9 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    MEMBER_BOUNDARY,
     MEMBER_INTERIOR,
     MEMBER_OUTSIDE,
-    VERDICT_INDEFINITE,
-    VERDICT_PD,
-    VERDICT_PSD,
+    MEMBERSHIP,
     definiteness,
     determinant,
     embed,
@@ -88,6 +85,13 @@ def _tolerance(text: str) -> float:
             f"tolerance must be finite and nonnegative, got {text!r}"
         )
     return value
+
+
+def _samples(text: str) -> int:
+    """--samples: a nonnegative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"need a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _read_text(path: str) -> str:
@@ -159,7 +163,10 @@ def _build_matrix(args, exact: bool):
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -188,11 +195,7 @@ def _cmd_check(args) -> int:
         _emit(json.dumps(doc), args.out)
         return EXIT_OK
     report = definiteness(reduced_edm(r, r.n - 1), args.tol)
-    membership = {
-        VERDICT_PD: MEMBER_INTERIOR,
-        VERDICT_PSD: MEMBER_BOUNDARY,
-        VERDICT_INDEFINITE: MEMBER_OUTSIDE,
-    }[report.verdict]
+    membership = MEMBERSHIP[report.verdict]
     min_eig = report.min_eigenvalue
     doc = {
         "membership": membership,
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n", type=int, help="largest point count to sample")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--samples", type=_samples)
     p_verify.add_argument(
         "--long-running", action="store_true",
         help="allow the large symbolic cases",

@@ -12,6 +12,7 @@ rational inputs even when the distances themselves are irrational.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -83,18 +84,23 @@ class PairIndex:
         return f"{self.i + 1},{self.j + 1}"
 
 
-def parse_pair_label(label: str, n: int) -> PairIndex:
-    """Parse a 1-based "i,j" label into a PairIndex, validating against n."""
-    parts = label.split(",")
-    if len(parts) != 2:
-        raise InputFormatError(f"pair label {label!r} is not of the form 'i,j'")
+def _label_points(label: str, n: int) -> tuple[int, int]:
+    """The 0-based points (i, j), i < j, of a 1-based "i,j" pair label."""
     try:
-        i, j = (int(p) for p in parts)
-    except ValueError as exc:
-        raise InputFormatError(f"pair label {label!r} is not of the form 'i,j'") from exc
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        i, j = sorted(int(p) for p in label.split(","))
+    except ValueError:
+        raise InputFormatError(f"pair label {label!r} is not of the form 'i,j'") from None
+    if not (1 <= i and j <= n) or i == j:
         raise InputFormatError(f"pair label {label!r} out of range for n={n}")
-    return PairIndex(i - 1, j - 1)
+    return i - 1, j - 1
+
+
+def json_natural(obj: dict, field: str, least: int) -> int:
+    """obj[field] as an int >= least; JSON booleans and floats are refused."""
+    value = obj[field]
+    if type(value) is not int or value < least:
+        raise InputFormatError(f'field "{field}" must be an integer >= {least}')
+    return value
 
 
 class PairSpace:
@@ -138,19 +144,10 @@ class PairSpace:
         return len(self._pairs)
 
 
-def _as_pair(pair_or_i, j=None) -> PairIndex:
-    if j is not None:
-        return PairIndex(pair_or_i, j)
-    if isinstance(pair_or_i, PairIndex):
-        return pair_or_i
-    return PairIndex(*pair_or_i)
-
-
-def _finite_squares(squared: tuple) -> tuple:
-    """Refuse float squared distances that are NaN or past the double range."""
-    if any(isinstance(v, float) and not math.isfinite(v) for v in squared):
-        raise ValueError("squared distances must be finite doubles")
-    return squared
+@functools.lru_cache(maxsize=64)
+def pair_space(n: int) -> PairSpace:
+    """The shared PairSpace on n points; it is never mutated."""
+    return PairSpace(n)
 
 
 class DistanceVector:
@@ -163,48 +160,52 @@ class DistanceVector:
     """
 
     def __init__(self, n: int, values):
-        space = PairSpace(n)
-        seq = self._as_sequence(values, space)
-        for v in seq:
-            if is_exact(v) or isinstance(v, float):
-                if v < 0:
-                    raise ValueError("distances must be nonnegative")
-        self.n = n
-        self.space = space
-        self._r = tuple(seq)
-        self._sq = _finite_squares(tuple(v * v for v in seq))
+        seq = self._as_sequence(values, n)
+        self._store(n, tuple(seq), tuple(v * v for v in seq))
 
     @staticmethod
-    def _as_sequence(values, space: PairSpace):
-        if isinstance(values, dict):
-            normalized = {_as_pair(key): v for key, v in values.items()}
-            missing = [p.label for p in space.pairs if p not in normalized]
-            if missing:
-                raise DimensionMismatch(f"missing pair entries: {missing}")
-            if len(normalized) != space.size:
-                raise DimensionMismatch("unexpected extra pair entries")
-            return [normalized[p] for p in space.pairs]
-        seq = list(values)
-        if len(seq) != space.size:
-            raise DimensionMismatch(
-                f"expected {space.size} pair entries, got {len(seq)}"
-            )
+    def _as_sequence(values, n: int) -> list:
+        """values in pair order, counted before the pair space is built; a
+        dict is keyed by PairIndex or (i, j)."""
+        if not isinstance(values, dict):
+            values = list(values)
+        size = n * (n - 1) // 2
+        if len(values) != size:
+            raise DimensionMismatch(f"expected {size} pair entries, got {len(values)}")
+        if not isinstance(values, dict):
+            return values
+        space = pair_space(n)
+        seq = [None] * size
+        for key, v in values.items():
+            i, j = (key.i, key.j) if isinstance(key, PairIndex) else key
+            k = space.index(i, j)
+            if seq[k] is not None:
+                raise InputFormatError(f"pair {i + 1},{j + 1} given twice")
+            seq[k] = v
         return seq
 
     @classmethod
     def from_squared(cls, n: int, squared) -> "DistanceVector":
         self = cls.__new__(cls)
-        space = PairSpace(n)
-        seq = cls._as_sequence(squared, space)
-        for v in seq:
-            if is_exact(v) or isinstance(v, float):
-                if v < 0:
-                    raise ValueError("squared distances must be nonnegative")
-        self.n = n
-        self.space = space
-        self._sq = _finite_squares(tuple(seq))
-        self._r = None
+        self._store(n, None, tuple(cls._as_sequence(squared, n)))
         return self
+
+    def _store(self, n: int, r, sq: tuple):
+        """Refuse negative values and float squares that are NaN or past the
+        double range; r is None for a vector given by its squares."""
+        what = "distances" if r is not None else "squared distances"
+        for v in sq if r is None else r:
+            if (is_exact(v) or isinstance(v, float)) and v < 0:
+                raise ValueError(f"{what} must be nonnegative")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in sq):
+            raise ValueError("squared distances must be finite doubles")
+        self.n = n
+        self.space = pair_space(n)
+        self._r = r
+        self._sq = sq
+        self._exact = all_exact(sq)
+        # analysis memoizes the integer reduced matrix of exact vectors here.
+        self.reduced_memo = None
 
     def get(self, i: int, j: int):
         """Distance between points i and j (0 when i == j)."""
@@ -234,7 +235,7 @@ class DistanceVector:
         return tuple(self.get(p.i, p.j) for p in self.space.pairs)
 
     def is_exact(self) -> bool:
-        return all_exact(self._sq)
+        return self._exact
 
     def __eq__(self, other):
         if not isinstance(other, DistanceVector):
@@ -260,14 +261,14 @@ class DistanceVector:
     def from_json_dict(cls, obj: dict, exact: bool = True) -> "DistanceVector":
         if not isinstance(obj, dict) or "n" not in obj or "r" not in obj:
             raise InputFormatError('distance JSON must have fields "n" and "r"')
-        n = obj["n"]
-        if not isinstance(n, int) or n < 1:
-            raise InputFormatError('field "n" must be a positive integer')
+        n = json_natural(obj, "n", 1)
         if not isinstance(obj["r"], dict):
             raise InputFormatError('field "r" must be an object keyed by pair labels')
         entries = {}
         for label, value in obj["r"].items():
-            pair = parse_pair_label(label, n)
+            pair = _label_points(label, n)
+            if pair in entries:
+                raise InputFormatError(f"pair label {label!r} repeats a pair")
             try:
                 entries[pair] = coerce_json_number(value, exact)
             except ValueError as exc:
@@ -339,12 +340,13 @@ class PointConfiguration:
         for field in ("n", "d", "points"):
             if not isinstance(obj, dict) or field not in obj:
                 raise InputFormatError(f'point JSON must have field "{field}"')
+        n, d = json_natural(obj, "n", 0), json_natural(obj, "d", 0)
         points = obj["points"]
-        if not isinstance(points, list) or len(points) != obj["n"]:
+        if not isinstance(points, list) or len(points) != n:
             raise InputFormatError('field "points" must list exactly n points')
         parsed = []
         for p in points:
-            if not isinstance(p, list) or len(p) != obj["d"]:
+            if not isinstance(p, list) or len(p) != d:
                 raise InputFormatError("every point must list exactly d coordinates")
             try:
                 parsed.append([coerce_json_number(x, exact) for x in p])

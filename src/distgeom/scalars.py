@@ -116,16 +116,25 @@ def _finite_float(text: str) -> float:
     return to_double(text, repr(text))
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return obj
+
+
 def loads_with_exact_numbers(text: str, exact: bool):
     """json.loads with decimal literals kept exact in the exact regime.
 
     The parse_float hook sees the raw literal text, so "0.1" becomes the
     rational 1/10 instead of the nearest double; in the numeric regime it
     refuses literals past the double range.  `NaN`, `Infinity` and
-    `-Infinity` are refused in both regimes.  Refusals raise ValueError.
+    `-Infinity` are refused in both regimes, and so is an object that
+    repeats a key.  Refusals raise ValueError.
     """
     parse_float = Fraction if exact else _finite_float
-    return json.loads(text, parse_float=parse_float, parse_constant=_refuse_constant)
+    return json.loads(text, parse_float=parse_float, parse_constant=_refuse_constant,
+                      object_pairs_hook=_unique_keys)
 
 
 def exact_sqrt(value):

@@ -2,8 +2,11 @@
 
 import math
 import random
+import sys
+import types
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from distgeom import (
@@ -237,6 +240,159 @@ class TestSimplexVolume:
     def test_outside_vector_refused(self):
         with pytest.raises(NotEmbeddableError):
             simplex_volume_sq(DistanceVector(3, [1, 1, 3]))
+
+
+def _fraction_det(rows) -> Fraction:
+    """Gaussian elimination over Fractions (oracle, shares no code with exact)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    value = Fraction(1)
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            value = -value
+        value *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return value
+
+
+def _rational_points(rng, n, rank):
+    """n rational points in Q^(n-1) whose affine span has dimension <= rank."""
+    dim = max(n - 1, 1)
+    basis = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim)]
+             for _ in range(rank)]
+    base = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim)]
+    points = []
+    for _ in range(n):
+        coef = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank)]
+        points.append([base[m] + sum(c * b[m] for c, b in zip(coef, basis))
+                       for m in range(dim)])
+    return points
+
+
+def _gram_volume_sq(points) -> Fraction:
+    """det(edge Gram matrix) / ((n-1)!)^2, edges taken from the first point."""
+    n = len(points)
+    edges = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
+    return _fraction_det(gram) / math.factorial(n - 1) ** 2
+
+
+def _squared_distances(points):
+    n = len(points)
+    return [
+        sum((a - b) ** 2 for a, b in zip(points[i], points[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+
+
+class TestSharedIntegerReducedMatrix:
+    """One integer reduced matrix and one PSD elimination per exact vector."""
+
+    def _count(self, monkeypatch, owner, name, calls):
+        plain = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return plain(*args, **kwargs)
+
+        # Patch every distgeom module that holds the function by name.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("distgeom") and (
+                vars(module).get(name) is plain
+            ):
+                monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize(
+        "doc, label",
+        [
+            ('{"n": 4, "r": {"1,2": 1, "1,3": 1, "1,4": 1, "2,3": 1, "2,4": 1, '
+             '"3,4": "11/10"}}', "interior"),
+            ('{"n": 4, "r": {"1,2": 1, "1,3": 2, "1,4": "1/2", "2,3": 1, "2,4": "1/2", '
+             '"3,4": "3/2"}}', "boundary"),
+            ('{"n": 4, "r": {"1,2": 1, "1,3": 1, "1,4": 1, "2,3": 1, "2,4": 1, '
+             '"3,4": "5/2"}}', "outside"),
+        ],
+    )
+    def test_one_elimination_per_request(self, monkeypatch, doc, label):
+        from distgeom import builders
+
+        calls = dict.fromkeys(("psd_verdict", "det", "reduced_edm"), 0)
+        self._count(monkeypatch, exact, "psd_verdict", calls)
+        self._count(monkeypatch, exact, "det", calls)
+        self._count(monkeypatch, builders, "reduced_edm", calls)
+        r = DistanceVector.from_json(doc)
+        assert cone_membership(r) == label
+        if label != "outside":
+            embed(r)
+            # Five unit edges and one edge e: V^2 = e^2 (3 - e^2) / 144.
+            e2 = Fraction(121, 100)
+            volume = e2 * (3 - e2) / 144 if label == "interior" else 0
+            assert simplex_volume_sq(r) == volume
+        assert calls == {
+            "psd_verdict": 1,
+            "det": 1 if label == "interior" else 0,
+            "reduced_edm": 1,
+        }
+
+    def test_volume_matches_gram_oracle(self):
+        rng = random.Random(71)
+        for n in range(1, 8):
+            for rank in range(n):
+                for _ in range(3):
+                    points = _rational_points(rng, n, rank)
+                    r = DistanceVector.from_squared(n, _squared_distances(points))
+                    oracle = _gram_volume_sq(points)
+                    assert simplex_volume_sq(r) == oracle
+                    assert type(simplex_volume_sq(r)) is (
+                        int if oracle.denominator == 1 else Fraction
+                    )
+                    expected = "interior" if oracle else "boundary"
+                    assert cone_membership(r) == expected
+
+    def test_outside_vectors_are_refused(self):
+        rng = random.Random(72)
+        for n in range(3, 8):
+            sq = _squared_distances(_rational_points(rng, n, n - 1))
+            # sq_12 past (r_13 + r_23)^2 <= 4 max(sq_13, sq_23) breaks the
+            # triangle inequality on the first three points.
+            sq[0] = 4 * max(sq[1], sq[n - 1]) + 1
+            r = DistanceVector.from_squared(n, sq)
+            assert cone_membership(r) == "outside"
+            with pytest.raises(NotEmbeddableError):
+                simplex_volume_sq(r)
+
+    def test_embed_doubles_equal_float_of_fraction_entries(self, monkeypatch):
+        from distgeom import analysis
+
+        seen = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(numpy, name)
+
+        spy = Spy()
+        spy.linalg = types.SimpleNamespace(
+            eigh=lambda a: seen.append(a.copy()) or numpy.linalg.eigh(a)
+        )
+        monkeypatch.setattr(analysis, "np", spy)
+        rng = random.Random(73)
+        for n in range(2, 8):
+            points = _rational_points(rng, n, n - 1)
+            points = [[x + Fraction(10**20 + 1, 3 * 7**k) for x in p]
+                      for k, p in enumerate(points)]
+            r = DistanceVector.from_squared(n, _squared_distances(points))
+            embed(r)
+            expected = numpy.array(
+                [[float(Fraction(v)) for v in row]
+                 for row in reduced_edm(r, n - 1).to_lists()]
+            )
+            assert seen[-1].tobytes() == expected.tobytes()
 
 
 class TestForms:

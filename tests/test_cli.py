@@ -369,6 +369,86 @@ class TestNonFiniteAndMalformedInput:
         assert out.strip() == str(-3 * 10 ** 616)
 
 
+class TestJsonBoundary:
+    def _check(self, capsys, tmp_path, doc, *argv):
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        return _run(capsys, *argv, str(path))
+
+    # `{"n": true, "r": {}}` answered interior with exit 0; n and d must
+    # be JSON integers.
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            ('{"n": true, "r": {}}', ("check", "--input")),
+            ('{"n": false, "r": {}}', ("check", "--input")),
+            ('{"n": true, "d": 1, "points": [[0]]}', ("check", "--points")),
+            ('{"n": 2, "d": true, "points": [[0], [1]]}', ("check", "--points")),
+            ('{"n": 1.0, "r": {}}', ("check", "--input")),
+        ],
+    )
+    def test_non_integer_counts_exit_two(self, capsys, tmp_path, doc, argv):
+        code, out, err = self._check(capsys, tmp_path, doc, *argv)
+        assert _one_error_line(code, out, err)
+
+    def test_boolean_entry_table_size_exits_two(self, capsys, tmp_path):
+        s = tmp_path / "s.json"
+        s.write_text('{"n": true, "entries": [[0]]}')
+        code, out, err = _run(capsys, "build", "w", "--s", str(s), "--t", str(s))
+        assert _one_error_line(code, out, err)
+
+    # The last of two entries for one pair silently won.
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": 3, "r": {"1,2": 1, "2,1": 5, "1,3": 1}}',
+            '{"n": 3, "r": {"1,2": 1, " 1,2": 5, "1,3": 1}}',
+            '{"n": 3, "r": {"1,2": 1, "1,2": 5, "1,3": 1, "2,3": 1}}',
+        ],
+        ids=["reversed", "spaced", "same-key"],
+    )
+    def test_pair_given_twice_exits_two(self, capsys, tmp_path, doc):
+        code, out, err = self._check(capsys, tmp_path, doc, "check", "--input")
+        assert _one_error_line(code, out, err)
+        assert "repeat" in err
+
+    # `{"n": 100000, "r": {}}` hung building a 5e9-pair space.
+    def test_pair_count_is_compared_before_the_pair_space_is_built(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from distgeom import core
+
+        def refuse(n):
+            raise AssertionError(f"pair space on {n} points built")
+
+        monkeypatch.setattr(core, "PairSpace", refuse)
+        code, out, err = self._check(
+            capsys, tmp_path, '{"n": 100000, "r": {}}', "check", "--input"
+        )
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: expected 4999950000 pair entries, got 0"]
+
+
+class TestOutputAndSamples:
+    # An unwritable --out ended in a FileNotFoundError traceback, exit 1.
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = _run(capsys, "check", "--r", "1,1,1", "--out", str(target))
+        assert _one_error_line(code, out, err)
+        assert "cannot write" in err
+
+    # `verify signs --samples -1` reported "-1 nonsingular ... pass".
+    @pytest.mark.parametrize("samples", ["-1", "-100", "x"])
+    def test_bad_samples_are_refused_at_parse_time(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", "signs", f"--samples={samples}"])
+        captured = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--samples" in errors[0]
+
+
 class TestTolerance:
     # `check --mode numeric --tol nan` answered "outside" for an
     # equilateral triangle, and `embed --tol nan` answered d = 0.

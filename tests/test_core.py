@@ -84,6 +84,12 @@ class TestDistanceVector:
         with pytest.raises(DimensionMismatch):
             DistanceVector(3, {(0, 1): 1})
 
+    def test_mapping_with_a_pair_twice_rejected(self):
+        with pytest.raises(InputFormatError):
+            DistanceVector(3, {(0, 1): 1, (1, 0): 2, (0, 2): 1})
+        with pytest.raises(InputFormatError):
+            DistanceVector(3, {PairIndex(0, 1): 1, (1, 0): 2, (1, 2): 1})
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DistanceVector(2, [-1])
