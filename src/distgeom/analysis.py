@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import exact
 from .builders import Matrix, GenericEntryTable, nbody_matrix, reduced_edm, w_matrix
@@ -27,14 +28,10 @@ from .core import (
     PairSpace,
     PointConfiguration,
     alpha_values,
-    distances,
 )
+from .exact import VERDICT_INDEFINITE, VERDICT_PD, VERDICT_PSD
 from .polys import SparsePoly, poly_det
 from .scalars import all_exact, np, to_double
-
-VERDICT_PD = exact.VERDICT_PD
-VERDICT_PSD = exact.VERDICT_PSD
-VERDICT_INDEFINITE = exact.VERDICT_INDEFINITE
 
 MEMBER_INTERIOR = "interior"
 MEMBER_BOUNDARY = "boundary"
@@ -233,6 +230,8 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
             m = np.array([[v / scale for v in row] for row in rows])
         except OverflowError:
             raise ValueError("matrix entry is not a finite double") from None
+        if not m.all() and any(v and not v / scale for row in rows for v in row):
+            raise ValueError("nonzero matrix entry underflows to 0.0 in doubles")
     else:
         m = _doubles(reduced_edm(r, n - 1).to_lists())
     m = (m + m.T) / 2.0
@@ -252,16 +251,13 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
         diffs[row] = math.sqrt(float(eigvals[i]) / 2.0) * eigvecs[:, i]
     points = [tuple(float(x) for x in diffs[:, col]) for col in range(n - 1)]
     points.append((0.0,) * d)
-    config = PointConfiguration(points)
-    back = distances(config)
-    scale = max((float(v) for v in r.values), default=0.0)
-    if scale == 0.0:
-        scale = 1.0
+    given = [float(v) for v in r.values]
+    scale = max(given, default=0.0) or 1.0
     residual = 0.0
-    for p in r.space.pairs:
-        err = abs(float(back.get(p.i, p.j)) - float(r.get(p.i, p.j))) / scale
-        residual = max(residual, err)
-    return EmbeddingResult(config, d, residual)
+    for (p, q), v in zip(combinations(points, 2), given):
+        back = math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
+        residual = max(residual, abs(back - v) / scale)
+    return EmbeddingResult(PointConfiguration(points), d, residual)
 
 
 def simplex_volume_sq(r: DistanceVector, tol: float = 1e-10):

@@ -16,14 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import (
-    MEMBER_INTERIOR,
-    MEMBER_OUTSIDE,
-    MEMBERSHIP,
-    definiteness,
-    determinant,
-    embed,
-)
+from .analysis import MEMBER_OUTSIDE, MEMBERSHIP, definiteness, determinant, embed
 from .builders import (
     GenericEntryTable,
     cayley_menger,
@@ -51,19 +44,6 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_RESOURCE = 4
-
-SUITE_DEFAULT_SAMPLES = {
-    "signs": 200,
-    "cmdk": 100,
-    "roundtrip": 100,
-    "forms": 100,
-    "menger": 100,
-    "signdict": 25,
-    "kernel": 20,
-    "heron": 0,
-    "content": 0,
-}
-
 
 def _infer_n_from_pairs(count: int) -> int:
     n = (1 + math.isqrt(1 + 8 * count)) // 2
@@ -190,10 +170,6 @@ def _cmd_det(args) -> int:
 
 def _cmd_check(args) -> int:
     r = _load_distance_vector(args, args.mode == "exact")
-    if r.n == 1:
-        doc = {"membership": MEMBER_INTERIOR, "min_eigenvalue": None, "rank": 0}
-        _emit(json.dumps(doc), args.out)
-        return EXIT_OK
     report = definiteness(reduced_edm(r, r.n - 1), args.tol)
     membership = MEMBERSHIP[report.verdict]
     min_eig = report.min_eigenvalue
@@ -232,44 +208,11 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    samples = args.samples
-    if samples is None:
-        samples = SUITE_DEFAULT_SAMPLES[args.suite]
-    name = args.suite
-    if name == "signs":
-        result = suites.signs_suite(
-            seed=args.seed,
-            samples=samples,
-            n_max=6 if args.n is None else args.n,
-            tol=args.tol,
-        )
-    elif name == "cmdk":
-        result = suites.cmdk_suite(
-            seed=args.seed, samples=samples, n_max=7 if args.n is None else args.n
-        )
-    elif name == "roundtrip":
-        result = suites.roundtrip_suite(
-            seed=args.seed, samples=samples, n_max=8 if args.n is None else args.n
-        )
-    elif name == "forms":
-        result = suites.forms_suite(seed=args.seed, samples=samples)
-    elif name == "menger":
-        result = suites.menger_suite(
-            seed=args.seed, samples=samples, n_max=6 if args.n is None else args.n
-        )
-    elif name == "signdict":
-        result = suites.signdict_suite(seed=args.seed, samples=samples)
-    elif name == "heron":
-        result = suites.heron_suite()
-    elif name == "kernel":
-        result = suites.kernel_suite(
-            seed=args.seed, samples=samples, n_max=5 if args.n is None else args.n
-        )
-    else:
-        result = suites.content_suite()
-    for line in result.lines:
-        sys.stdout.write(line + "\n")
-    sys.stdout.write(f"{result.name}: {'pass' if result.ok else 'fail'}\n")
+    given = {"seed": args.seed, "samples": args.samples, "n_max": args.n, "tol": args.tol}
+    options = {k: given[k] for k in suites.SUITES[args.suite] if given[k] is not None}
+    result = getattr(suites, f"{args.suite}_suite")(**options)
+    verdict = f"{result.name}: {'pass' if result.ok else 'fail'}"
+    _emit("\n".join([*result.lines, verdict]), args.out)
     return EXIT_OK if result.ok else EXIT_NEGATIVE
 
 
@@ -297,25 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="construct one of the matrix families")
-    p_build.add_argument("kind", choices=("edm", "cm", "redm", "nbody", "w"))
-    _add_distance_inputs(p_build)
-    p_build.add_argument("--alpha", help="comma-separated mass parameters")
-    p_build.add_argument("--k", type=int, help="base point index (1-based)")
-    p_build.add_argument("--s", help="first entry-table JSON file (kind w)")
-    p_build.add_argument("--t", help="second entry-table JSON file (kind w)")
-    _add_common(p_build)
-    p_build.set_defaults(func=_cmd_build)
-
-    p_det = sub.add_parser("det", help="determinant of one of the matrix families")
-    p_det.add_argument("kind", choices=("edm", "cm", "redm", "nbody", "w"))
-    _add_distance_inputs(p_det)
-    p_det.add_argument("--alpha", help="comma-separated mass parameters")
-    p_det.add_argument("--k", type=int, help="base point index (1-based)")
-    p_det.add_argument("--s", help="first entry-table JSON file (kind w)")
-    p_det.add_argument("--t", help="second entry-table JSON file (kind w)")
-    _add_common(p_det)
-    p_det.set_defaults(func=_cmd_det)
+    for verb, func, summary in (
+        ("build", _cmd_build, "construct one of the matrix families"),
+        ("det", _cmd_det, "determinant of one of the matrix families"),
+    ):
+        p_matrix = sub.add_parser(verb, help=summary)
+        p_matrix.add_argument("kind", choices=("edm", "cm", "redm", "nbody", "w"))
+        _add_distance_inputs(p_matrix)
+        p_matrix.add_argument("--alpha", help="comma-separated mass parameters")
+        p_matrix.add_argument("--k", type=int, help="base point index (1-based)")
+        p_matrix.add_argument("--s", help="first entry-table JSON file (kind w)")
+        p_matrix.add_argument("--t", help="second entry-table JSON file (kind w)")
+        _add_common(p_matrix)
+        p_matrix.set_defaults(func=func)
 
     p_check = sub.add_parser(
         "check", help="classify a distance vector against the realizable cone"
@@ -351,27 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.set_defaults(func=_cmd_factor)
 
     p_verify = sub.add_parser("verify", help="run a randomized verification suite")
-    p_verify.add_argument(
-        "suite",
-        choices=(
-            "signs",
-            "cmdk",
-            "roundtrip",
-            "forms",
-            "menger",
-            "signdict",
-            "heron",
-            "kernel",
-            "content",
-        ),
-    )
+    p_verify.add_argument("suite", choices=tuple(suites.SUITES))
     p_verify.add_argument("--n", type=int, help="largest point count to sample")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=_samples)
-    p_verify.add_argument(
-        "--long-running", action="store_true",
-        help="allow the large symbolic cases",
-    )
     _add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

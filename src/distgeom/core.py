@@ -191,14 +191,17 @@ class DistanceVector:
         return self
 
     def _store(self, n: int, r, sq: tuple):
-        """Refuse negative values and float squares that are NaN or past the
-        double range; r is None for a vector given by its squares."""
+        """Refuse negative values, float squares that are NaN or past the
+        double range, and nonzero distances whose float square is 0.0; r is
+        None for a vector given by its squares."""
         what = "distances" if r is not None else "squared distances"
         for v in sq if r is None else r:
             if (is_exact(v) or isinstance(v, float)) and v < 0:
                 raise ValueError(f"{what} must be nonnegative")
         if any(isinstance(v, float) and not math.isfinite(v) for v in sq):
             raise ValueError("squared distances must be finite doubles")
+        if r is not None and any(type(s) is float and v and not s for v, s in zip(r, sq)):
+            raise ValueError("a nonzero distance squares to 0.0 in doubles")
         self.n = n
         self.space = pair_space(n)
         self._r = r

@@ -15,7 +15,6 @@ for singular tables.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,25 +38,10 @@ from .core import (
 from .polys import SparsePoly, VarTable, exact_divide, poly_det
 from .scalars import all_exact
 
-DEFAULT_SYMBOLIC_CAP = 5
+SYMBOLIC_CAP = 5
 LONG_RUNNING_THRESHOLD = 5
 DEFAULT_W_CAP = 3
 LONG_RUNNING_W_CAP = 4
-CAP_ENV_VAR = "NBODY_MAX_SYMBOLIC_N"
-
-
-def _nbody_cap(max_n=None) -> int:
-    if max_n is not None:
-        return max_n
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ResourceCapError(
-                f"{CAP_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    return DEFAULT_SYMBOLIC_CAP
 
 
 def mass_distance_table(n: int, equal_masses: bool = False) -> VarTable:
@@ -123,19 +107,17 @@ def symbolic_nbody_det(
     n: int,
     equal_masses: bool = False,
     long_running: bool = False,
-    max_n: int | None = None,
     table: VarTable | None = None,
 ) -> SparsePoly:
     """Fully symbolic determinant of the pair-indexed interaction matrix.
 
-    Guarded by a size cap (default 5, overridable via the argument or the
-    NBODY_MAX_SYMBOLIC_N environment variable); n >= 5 additionally
-    requires long_running=True because the expansion is large.
+    Guarded by a size cap of 5, checked before any table is built; n >= 5
+    additionally requires long_running=True because the expansion is large.
     """
-    cap = _nbody_cap(max_n)
-    if not 2 <= n <= cap:
+    if not 2 <= n <= SYMBOLIC_CAP:
         raise ResourceCapError(
-            f"symbolic interaction determinant capped at 2 <= n <= {cap}, got {n}"
+            "symbolic interaction determinant capped at "
+            f"2 <= n <= {SYMBOLIC_CAP}, got {n}"
         )
     if n >= LONG_RUNNING_THRESHOLD and not long_running:
         raise ResourceCapError(
@@ -215,21 +197,12 @@ def _certified_split(family: str, n: int, lhs: SparsePoly, factors) -> Factoriza
 
 
 def factor_nbody(
-    n: int,
-    equal_masses: bool = False,
-    long_running: bool = False,
-    max_n: int | None = None,
+    n: int, equal_masses: bool = False, long_running: bool = False
 ) -> FactorizationCertificate:
     """Split the interaction determinant into e_{n-1} times the bordered
     distance determinant times a mixed quotient, all exactly."""
-    table = mass_distance_table(n, equal_masses)
-    lhs = symbolic_nbody_det(
-        n,
-        equal_masses=equal_masses,
-        long_running=long_running,
-        max_n=max_n,
-        table=table,
-    )
+    lhs = symbolic_nbody_det(n, equal_masses=equal_masses, long_running=long_running)
+    table = lhs.table
     alpha = symbolic_masses(table, n, equal_masses)
     e_factor = elementary_symmetric(n - 1, alpha)
     if not isinstance(e_factor, SparsePoly):
@@ -238,20 +211,12 @@ def factor_nbody(
     return _certified_split("nbody", n, lhs, [e_factor, delta])
 
 
-def factor_w(
-    n: int,
-    long_running: bool = False,
-    max_n: int | None = None,
-) -> FactorizationCertificate:
+def factor_w(n: int, long_running: bool = False) -> FactorizationCertificate:
     """Split the generalized pair-product determinant into the two bordered
     table determinants times a quotient, over fully generic tables."""
-    cap = max_n if max_n is not None else (
-        LONG_RUNNING_W_CAP if long_running else DEFAULT_W_CAP
-    )
+    cap = LONG_RUNNING_W_CAP if long_running else DEFAULT_W_CAP
     if not 2 <= n <= cap:
-        hint = "" if long_running or max_n is not None else (
-            "; pass long_running=True for n = 4"
-        )
+        hint = "" if long_running else "; pass long_running=True for n = 4"
         raise ResourceCapError(
             f"generalized determinant capped at 2 <= n <= {cap}, got {n}{hint}"
         )
@@ -325,22 +290,8 @@ def sign_dictionary(n: int, long_running: bool = False) -> SignDictionaryReport:
         raise ResourceCapError(f"sign dictionary is symbolic and capped at n <= 4, got {n}")
     cert = factor_nbody(n, long_running=long_running)
     table = cert.lhs.table
-    alpha = symbolic_masses(table, n)
-    r = symbolic_squared_distances(table, n)
-    zero = SparsePoly.zero(table)
-    s_spec = GenericEntryTable(
-        [
-            [zero if i == j else r.sq(i, j) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    t_spec = GenericEntryTable.diagonal(list(alpha.alpha), zero=zero)
-    w_spec = w_matrix(s_spec, t_spec)
-    b = nbody_matrix(alpha, r)
-    entrywise_ok = all(
-        w_spec[a, c] == -b[a, c]
-        for a in range(w_spec.nrows)
-        for c in range(w_spec.ncols)
+    w_spec, entrywise_ok = specialized_w(
+        symbolic_masses(table, n), symbolic_squared_distances(table, n)
     )
     det_w = poly_det(w_spec)
     pairs = PairSpace(n).size
@@ -361,17 +312,23 @@ def sign_dictionary(n: int, long_running: bool = False) -> SignDictionaryReport:
     return SignDictionaryReport(n, entrywise_ok, det_ok, quotient_ok, substitution_ok)
 
 
+def specialized_w(alpha, r: DistanceVector):
+    """(W, W == -B entrywise) for W built from s = the squared-distance
+    table and t = diag(alpha), and B the interaction matrix of (alpha, r).
+
+    Works in the regime of the inputs: exact, float or symbolic.
+    """
+    values = alpha_values(alpha)
+    w = w_matrix(
+        GenericEntryTable.from_distance_vector(r), GenericEntryTable.diagonal(values)
+    )
+    b = nbody_matrix(values, r)
+    return w, all(w[a, c] == -b[a, c] for a in range(w.nrows) for c in range(w.ncols))
+
+
 def w_matches_minus_nbody(alpha, r: DistanceVector) -> bool:
     """Numeric/exact spot check of the entrywise reduction at given values."""
-    values = alpha_values(alpha)
-    n = r.n
-    s_spec = GenericEntryTable.from_distance_vector(r)
-    t_spec = GenericEntryTable.diagonal(list(values))
-    w = w_matrix(s_spec, t_spec)
-    b = nbody_matrix(values, r)
-    return all(
-        w[a, c] == -b[a, c] for a in range(w.nrows) for c in range(w.ncols)
-    )
+    return specialized_w(alpha, r)[1]
 
 
 def nbody_sigma_value(alpha, r: DistanceVector):

@@ -524,77 +524,17 @@ def _det_minors(rows, table: VarTable) -> SparsePoly:
     return SparsePoly._raw(table, packing.unpack(level.get(full, {})))
 
 
-def _det_bareiss(rows, table: VarTable) -> SparsePoly:
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign = 1
-    prev = SparsePoly.const(table, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return SparsePoly.zero(table)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * m[i][j] - m[i][k] * m[k][j]
-                if k == 0:
-                    m[i][j] = num
-                else:
-                    quot = exact_divide(num, prev)
-                    if quot is None:
-                        raise ArithmeticError("fraction-free step failed to divide")
-                    m[i][j] = quot
-            m[i][k] = SparsePoly.zero(table)
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
-def _det_cofactor(rows, table: VarTable) -> SparsePoly:
-    n = len(rows)
-    if n == 0:
-        return SparsePoly.const(table, 1)
-    if n == 1:
-        return rows[0][0]
-    total = SparsePoly.zero(table)
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry.terms:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        piece = entry * _det_cofactor(minor, table)
-        total = total + (-piece if j % 2 else piece)
-    return total
-
-
-def poly_det(matrix, method: str = "auto") -> SparsePoly:
+def poly_det(matrix) -> SparsePoly:
     """Determinant of a square matrix of polynomials.
 
-    Methods: "minors" (memoized Laplace expansion, the default workhorse:
-    it multiplies small entries into growing minors instead of multiplying
-    two large intermediate polynomials), "bareiss" (fraction-free
-    elimination with exact polynomial division), and "cofactor" (naive
-    expansion, intended as a cross-check on small sizes).  All methods
-    agree exactly.  The minors expansion packs every entry once and keeps
-    all minors as packed-monomial dicts (see the module docstring); the
-    result comes back with exponent tuples like every other polynomial.
+    Memoized Laplace expansion: it multiplies small entries into growing
+    minors instead of multiplying two large intermediate polynomials.  The
+    expansion packs every entry once and keeps all minors as
+    packed-monomial dicts (see the module docstring); the result comes
+    back with exponent tuples like every other polynomial.
     """
     rows = _entry_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("poly_det requires a square matrix")
-    symbolic, table = _normalize_symbolic(rows)
-    if method == "auto":
-        method = "minors"
-    if method == "minors":
-        return _det_minors(symbolic, table)
-    if method == "bareiss":
-        return _det_bareiss(symbolic, table)
-    if method == "cofactor":
-        return _det_cofactor(symbolic, table)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return _det_minors(*_normalize_symbolic(rows))

@@ -36,7 +36,6 @@ from .builders import (
     lift_reduced,
     nbody_matrix,
     reduced_edm,
-    w_matrix,
 )
 from .core import (
     DistanceVector,
@@ -53,8 +52,8 @@ from .factorization import (
     kernel_witness,
     nbody_sigma_value,
     sign_dictionary,
+    specialized_w,
     symbolic_entry_table,
-    w_matches_minus_nbody,
 )
 from .polys import VarTable, poly_det
 from .scalars import np
@@ -399,12 +398,11 @@ def signdict_suite(seed: int = 0, samples: int = 25) -> SuiteResult:
             cfg = sampling.random_nonsingular_configuration(rng, n)
             r = distances(cfg)
             alpha = sampling.random_positive_alpha(rng, n)
-            if not w_matches_minus_nbody(alpha, r):
+            w, entrywise_ok = specialized_w(alpha, r)
+            if not entrywise_ok:
                 failures.append(f"n={n} sample {idx}: entrywise reduction failed")
                 continue
-            s_spec = GenericEntryTable.from_distance_vector(r)
-            t_spec = GenericEntryTable.diagonal(list(alpha))
-            det_w = exact.det(w_matrix(s_spec, t_spec).to_lists())
+            det_w = exact.det(w.to_lists())
             det_b = exact.det(nbody_matrix(alpha, r).to_lists())
             pairs = PairSpace(n).size
             if det_w != (-1) ** pairs * det_b:
@@ -480,3 +478,19 @@ def content_suite(n_values=(2, 3, 4)) -> SuiteResult:
         f"unit content for n in {tuple(n_values)}",
         len(n_values),
     )
+
+
+# `verify` suite name -> the command-line options its `<name>_suite` takes.
+# Callers look the function up by name at each call, so a wrapper installed
+# on the module attribute sees every run.
+SUITES = {
+    "signs": ("seed", "samples", "n_max", "tol"),
+    "cmdk": ("seed", "samples", "n_max"),
+    "roundtrip": ("seed", "samples", "n_max"),
+    "forms": ("seed", "samples"),
+    "menger": ("seed", "samples", "n_max"),
+    "signdict": ("seed", "samples"),
+    "heron": (),
+    "kernel": ("seed", "samples", "n_max"),
+    "content": (),
+}

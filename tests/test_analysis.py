@@ -194,6 +194,31 @@ class TestEmbed:
         assert coincident.d == 0
         assert coincident.residual == 0.0
 
+    def test_residual_matches_a_distances_oracle(self):
+        rng = random.Random(48)
+        cases = [DistanceVector(3, [1, 1, 2]), DistanceVector(4, [1] * 6)]
+        for _ in range(10):
+            n = rng.randint(2, 6)
+            d = rng.randint(1, n - 1)
+            cases.append(distances(sampling.random_configuration(rng, n, d)))
+            cases.append(distances(sampling.random_float_configuration(rng, n, d)))
+            cases.append(DistanceVector(n, [rng.randint(1, 3) for _ in range(n * (n - 1) // 2)]))
+        embedded = 0
+        for r in cases:
+            try:
+                result = embed(r)
+            except NotEmbeddableError:
+                continue
+            embedded += 1
+            back = distances(result.config)
+            scale = max(float(v) for v in r.values) or 1.0
+            oracle = max(
+                abs(float(back.get(p.i, p.j)) - float(r.get(p.i, p.j))) / scale
+                for p in r.space.pairs
+            )
+            assert result.residual == oracle
+        assert embedded >= 20
+
     def test_result_json(self):
         doc = embed(DistanceVector(2, [1])).to_json_dict()
         assert doc["n"] == 2 and doc["d"] == 1

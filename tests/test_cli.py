@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, file IO, determinism."""
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -9,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from distgeom.cli import main
-from distgeom.suites import signs_suite
+from distgeom import suites
+from distgeom.cli import build_parser, main
+from distgeom.suites import SUITES, signs_suite
 
 GOLDENS = Path(__file__).parent / "goldens" / "v1"
 
@@ -179,9 +182,10 @@ class TestFactor:
         assert "a_1" not in json.loads(out)["vars"]
 
     def test_over_cap_exits_four(self, capsys):
-        code, _, err = _run(capsys, "factor", "--n", "7")
-        assert code == 4
-        assert "error" in err
+        for n in ("7", "1", "0", "-3"):
+            code, _, err = _run(capsys, "factor", "--n", n)
+            assert code == 4
+            assert err.startswith("error: symbolic interaction determinant capped")
 
     def test_long_running_gate_exits_four(self, capsys):
         code, _, _ = _run(capsys, "factor", "--n", "5")
@@ -230,6 +234,40 @@ class TestVerify:
         assert code == 1
         assert f"{suite}: no checks ran" in out
         assert out.strip().endswith(f"{suite}: fail")
+
+    def test_choices_are_the_registry_keys(self):
+        (sub,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+        assert list(suite.choices) == list(SUITES)
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_registry_options_are_suite_parameters(self, name):
+        params = inspect.signature(getattr(suites, f"{name}_suite")).parameters
+        assert set(SUITES[name]) <= set(params)
+
+    # The CLI passes --seed and --tol always, so their defaults must be the
+    # ones each suite function declares; --samples and --n only when given.
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_cli_defaults_are_the_suite_defaults(self, capsys, monkeypatch, name):
+        suite = getattr(suites, f"{name}_suite")
+        options = {"samples": 2} if "samples" in SUITES[name] else {}
+        result = suite(**options)
+        verdict = f"{name}: {'pass' if result.ok else 'fail'}"
+        argv = ["verify", name] + [f"--{k}={v}" for k, v in options.items()]
+        calls = []
+        monkeypatch.setattr(
+            suites, f"{name}_suite", lambda **kw: calls.append(kw) or suite(**kw)
+        )
+        assert _run(capsys, *argv) == (
+            0 if result.ok else 1, "\n".join([*result.lines, verdict]) + "\n", ""
+        )
+        (passed,) = calls
+        params = inspect.signature(suite).parameters
+        assert {k: v for k, v in passed.items() if k not in options} == {
+            k: params[k].default for k in passed if k not in options
+        }
 
     def test_signs_suite_without_samples_fails(self):
         result = signs_suite(samples=0, singular_samples=0, n_max=3)
@@ -349,6 +387,27 @@ class TestNonFiniteAndMalformedInput:
         assert _one_error_line(code, out, err)
         assert "finite double" in err
 
+    # Squares below the double range: numeric `check` answered "boundary"
+    # and exact `embed` answered d = 0 with residual 1.0, both exit 0.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--mode", "numeric", "--r", "1e-300,1e-300,1e-300"),
+            ("embed", "--mode", "numeric", "--r", "1e-300,1e-300,1e-300"),
+            ("embed", "--r", "1e-300,1e-300,1e-300"),
+        ],
+    )
+    def test_values_below_the_double_range_exit_two(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert _one_error_line(code, out, err)
+        assert "0.0 in doubles" in err
+
+    def test_exact_mode_keeps_tiny_literals(self, capsys):
+        code, out, _ = _run(capsys, "check", "--r", "1e-300,1e-300,1e-300")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["membership"], doc["rank"]) == ("interior", 2)
+
     def test_exact_mode_keeps_huge_literals(self, capsys):
         code, out, _ = _run(capsys, "det", "edm", "--r", "1e999")
         assert code == 0
@@ -436,6 +495,16 @@ class TestOutputAndSamples:
         code, out, err = _run(capsys, "check", "--r", "1,1,1", "--out", str(target))
         assert _one_error_line(code, out, err)
         assert "cannot write" in err
+
+    # `verify` printed to stdout and never wrote the --out file.
+    def test_verify_writes_out_file(self, capsys, tmp_path):
+        target = tmp_path / "x.txt"
+        argv = ("verify", "cmdk", "--samples", "2", "--n", "3")
+        code, out, err = _run(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        _, expected, _ = _run(capsys, *argv)
+        assert target.read_text() == expected
+        assert expected.endswith("cmdk: pass\n")
 
     # `verify signs --samples -1` reported "-1 nonsingular ... pass".
     @pytest.mark.parametrize("samples", ["-1", "-100", "x"])

@@ -212,16 +212,6 @@ class TestCaps:
             factor_nbody(5)
         assert "long" in str(info.value).lower() or "5" in str(info.value)
 
-    def test_nbody_env_override(self, monkeypatch):
-        monkeypatch.setenv("NBODY_MAX_SYMBOLIC_N", "3")
-        with pytest.raises(ResourceCapError):
-            symbolic_nbody_det(4)
-        monkeypatch.setenv("NBODY_MAX_SYMBOLIC_N", "4")
-        assert symbolic_nbody_det(4).degree() == 12
-        monkeypatch.setenv("NBODY_MAX_SYMBOLIC_N", "not-a-number")
-        with pytest.raises(ResourceCapError):
-            symbolic_nbody_det(3)
-
     def test_w_caps(self):
         with pytest.raises(ResourceCapError) as info:
             factor_w(4)
@@ -230,10 +220,14 @@ class TestCaps:
             factor_w(5, long_running=True)
 
     def test_lower_bounds(self):
-        with pytest.raises(ResourceCapError):
-            factor_nbody(1)
-        with pytest.raises(ResourceCapError):
-            factor_w(1)
+        # The cap is checked before the pair space, which refuses n < 1.
+        for n in (1, 0, -3):
+            with pytest.raises(ResourceCapError):
+                factor_nbody(n)
+            with pytest.raises(ResourceCapError):
+                factor_nbody(n, equal_masses=True)
+            with pytest.raises(ResourceCapError):
+                factor_w(n)
 
 
 class TestSignDictionary:
