@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import exact
-from .builders import Matrix, GenericEntryTable, nbody_matrix, reduced_edm, w_matrix
+from .builders import (
+    GenericEntryTable, Matrix, cayley_menger, nbody_matrix, reduced_edm, w_matrix,
+)
 from .core import (
     DimensionMismatch,
     DistanceVector,
@@ -31,7 +32,7 @@ from .core import (
 )
 from .exact import VERDICT_INDEFINITE, VERDICT_PD, VERDICT_PSD
 from .polys import SparsePoly, poly_det
-from .scalars import all_exact, np, to_double
+from .scalars import all_exact, np, rational, to_double
 
 MEMBER_INTERIOR = "interior"
 MEMBER_BOUNDARY = "boundary"
@@ -39,18 +40,13 @@ MEMBER_OUTSIDE = "outside"
 
 
 def _rows(matrix) -> list[list]:
-    if isinstance(matrix, Matrix):
-        return matrix.to_lists()
-    return [list(row) for row in matrix]
+    return matrix.to_lists() if isinstance(matrix, Matrix) else [list(row) for row in matrix]
 
 
 def _classify(rows) -> str:
-    has_poly = any(isinstance(v, SparsePoly) for row in rows for v in row)
-    if has_poly:
+    if any(isinstance(v, SparsePoly) for row in rows for v in row):
         return "symbolic"
-    if all(all_exact(row) for row in rows):
-        return "exact"
-    return "numeric"
+    return "exact" if all(all_exact(row) for row in rows) else "numeric"
 
 
 def determinant(matrix):
@@ -89,7 +85,8 @@ class DefinitenessReport:
 
     `min_eigenvalue` is a float certificate (informational in the exact
     regime, decisive in the numeric one); it is None for exact matrices
-    whose entries or eigenvalues do not fit finite doubles.  `rank` counts
+    whose entries or eigenvalues do not fit finite doubles or whose nonzero
+    entries underflow to 0.0.  `rank` counts
     positive pivots for semidefinite exact matrices and thresholded
     eigenvalues otherwise.
     """
@@ -100,21 +97,15 @@ class DefinitenessReport:
     tol: float
     exact_regime: bool
 
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.verdict == VERDICT_PD
-
-    @property
-    def is_positive_semidefinite(self) -> bool:
-        return self.verdict in (VERDICT_PD, VERDICT_PSD)
-
 
 def _float_min_eigenvalue(rows) -> float | None:
-    """Smallest eigenvalue of an exact matrix in doubles, or None when the
-    entries or the result do not fit finite doubles."""
+    """Smallest eigenvalue of an exact matrix in doubles, or None as
+    DefinitenessReport describes."""
     try:
         a = _doubles(rows)
     except ValueError:
+        return None
+    if not a.all() and any(v and not float(v) for row in rows for v in row):
         return None
     eig = float(np.linalg.eigvalsh(a)[0])
     return eig if math.isfinite(eig) else None
@@ -135,14 +126,12 @@ def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
     if n == 0:
         return DefinitenessReport(VERDICT_PD, math.inf, 0, tol, True)
     if _classify(rows) == "exact":
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
+            raise ValueError("matrix is not symmetric")
         verdict, rank = exact.psd_verdict(rows)
         return DefinitenessReport(verdict, _float_min_eigenvalue(rows), rank, tol, True)
     a = _doubles(rows)
-    scale = float(np.max(np.abs(a))) if n else 0.0
+    scale = float(np.max(np.abs(a)))
     if not np.allclose(a, a.T, atol=tol * max(scale, 1.0), rtol=0.0):
         raise ValueError("matrix is not symmetric beyond tolerance")
     a = (a + a.T) / 2.0
@@ -150,34 +139,26 @@ def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
     thr = tol * max(float(np.max(np.abs(eigs))), 1.0)
     min_eig = float(eigs[0])
     if min_eig > thr:
-        verdict = VERDICT_PD
-        rank = n
+        verdict, rank = VERDICT_PD, n
     elif min_eig >= -thr:
-        verdict = VERDICT_PSD
-        rank = int(np.count_nonzero(eigs > thr))
+        verdict, rank = VERDICT_PSD, int(np.count_nonzero(eigs > thr))
     else:
-        verdict = VERDICT_INDEFINITE
-        rank = int(np.count_nonzero(np.abs(eigs) > thr))
+        verdict, rank = VERDICT_INDEFINITE, int(np.count_nonzero(np.abs(eigs) > thr))
     return DefinitenessReport(verdict, min_eig, rank, tol, False)
 
 
 def _integer_reduced(r: DistanceVector):
     """(L M as int rows, L, psd_verdict(rows)) for an exact vector, memoized
-    on r: L clears the squared distances, M = 2G is `reduced_edm` at the
-    last base point, built on the integer-scaled vector."""
+    on r: L is the common denominator of r's squares, M = 2G is
+    `reduced_edm` at the last base point, built on r.integral()."""
     if r.reduced_memo is None:
-        scale = math.lcm(*(v.denominator for v in r.squared_values))
-        scaled = [v.numerator * (scale // v.denominator) for v in r.squared_values]
-        rows = reduced_edm(DistanceVector.from_squared(r.n, scaled), r.n - 1).to_lists()
-        r.reduced_memo = rows, scale, exact.psd_verdict(rows)
+        rows = reduced_edm(r.integral(), r.n - 1).to_lists()
+        r.reduced_memo = rows, r.scaled_squares[0], exact.psd_verdict(rows)
     return r.reduced_memo
 
 
-MEMBERSHIP = {
-    VERDICT_PD: MEMBER_INTERIOR,
-    VERDICT_PSD: MEMBER_BOUNDARY,
-    VERDICT_INDEFINITE: MEMBER_OUTSIDE,
-}
+MEMBERSHIP = {VERDICT_PD: MEMBER_INTERIOR, VERDICT_PSD: MEMBER_BOUNDARY,
+              VERDICT_INDEFINITE: MEMBER_OUTSIDE}
 
 
 def cone_membership(r: DistanceVector, tol: float = 1e-10) -> str:
@@ -204,9 +185,7 @@ class EmbeddingResult:
     residual: float
 
     def to_json_dict(self) -> dict:
-        doc = self.config.to_json_dict()
-        doc["residual"] = self.residual
-        return doc
+        return {**self.config.to_json_dict(), "residual": self.residual}
 
 
 def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
@@ -217,7 +196,8 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
     sqrt(lambda/2) Q^T with the last point pinned at the origin.  The
     minimal embedding dimension is the count of retained eigenvalues.
     Exact vectors read M off the shared integer reduced matrix L M as
-    doubles v / L, each rounded once, as float(Fraction) would.  Distance
+    doubles v / L, each rounded once, as float(Fraction) would; the
+    residual reads given exact distances (p, q) as p / q the same way.  Distance
     vectors outside the cone are refused, with the offending eigenvalue
     attached to the error.
     """
@@ -251,7 +231,7 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
         diffs[row] = math.sqrt(float(eigvals[i]) / 2.0) * eigvecs[:, i]
     points = [tuple(float(x) for x in diffs[:, col]) for col in range(n - 1)]
     points.append((0.0,) * d)
-    given = [float(v) for v in r.values]
+    given = [p / q for p, q in r.ratios] if r.ratios else [float(v) for v in r.values]
     scale = max(given, default=0.0) or 1.0
     residual = 0.0
     for (p, q), v in zip(combinations(points, 2), given):
@@ -272,8 +252,6 @@ def simplex_volume_sq(r: DistanceVector, tol: float = 1e-10):
     n = r.n
     divisor = 2 ** (n - 1) * math.factorial(n - 1) ** 2
     if not r.is_exact():
-        from .builders import cayley_menger
-
         if cone_membership(r, tol) == MEMBER_OUTSIDE:
             raise NotEmbeddableError("no simplex realizes this distance vector", math.nan)
         return determinant(cayley_menger(r)) / ((-1) ** n * divisor)
@@ -282,8 +260,7 @@ def simplex_volume_sq(r: DistanceVector, tol: float = 1e-10):
         raise NotEmbeddableError("no simplex realizes this distance vector", math.nan)
     if verdict == VERDICT_PSD:
         return 0
-    value = Fraction(exact.det(rows), scale ** (n - 1) * divisor)
-    return value.numerator if value.denominator == 1 else value
+    return rational(exact.det(rows), scale ** (n - 1) * divisor)
 
 
 def edm_quadratic_form(r: DistanceVector, x):

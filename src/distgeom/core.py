@@ -6,12 +6,13 @@ matrix labels, the command line) renders them 1-based, so the pair of the
 first two points appears as "1,2".  Unordered pairs are enumerated
 lexicographically: {0,1}, {0,2}, ..., {0,n-1}, {1,2}, ...
 
-Distance data is stored through its squared values, which stay exact for
-rational inputs even when the distances themselves are irrational.
+Distance data is stored through its squared values: for rational input,
+exact ints over one common denominator, even when distances are irrational.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -26,8 +27,10 @@ from .scalars import (
     exact_sqrt,
     format_number,
     is_exact,
+    json_ratio,
     loads_with_exact_numbers,
     np,
+    rational,
 )
 
 
@@ -84,6 +87,7 @@ class PairIndex:
         return f"{self.i + 1},{self.j + 1}"
 
 
+@functools.lru_cache(maxsize=4096)
 def _label_points(label: str, n: int) -> tuple[int, int]:
     """The 0-based points (i, j), i < j, of a 1-based "i,j" pair label."""
     try:
@@ -154,14 +158,15 @@ class DistanceVector:
     """Interpoint distances for n points, stored through squared values.
 
     Built either from distances themselves (`DistanceVector(n, values)`) or
-    from squared distances (`DistanceVector.from_squared`).  The squared
-    accessor is always exact for rational input; the unsquared accessor
-    falls back to a float square root when the exact root is irrational.
+    from squared distances (`DistanceVector.from_squared`).  An all-exact
+    vector keeps its squares as `scaled_squares` = (L, ints L r^2 in pair
+    order) over one common denominator L, and given distances as reduced
+    (num, den) `ratios`; the ints and Fractions the accessors return are
+    built from these on first use.  Other vectors keep both None.
     """
 
     def __init__(self, n: int, values):
-        seq = self._as_sequence(values, n)
-        self._store(n, tuple(seq), tuple(v * v for v in seq))
+        self._store(n, self._as_sequence(values, n), True)
 
     @staticmethod
     def _as_sequence(values, n: int) -> list:
@@ -187,75 +192,91 @@ class DistanceVector:
     @classmethod
     def from_squared(cls, n: int, squared) -> "DistanceVector":
         self = cls.__new__(cls)
-        self._store(n, None, tuple(cls._as_sequence(squared, n)))
+        self._store(n, cls._as_sequence(squared, n), False)
         return self
 
-    def _store(self, n: int, r, sq: tuple):
-        """Refuse negative values, float squares that are NaN or past the
-        double range, and nonzero distances whose float square is 0.0; r is
-        None for a vector given by its squares."""
-        what = "distances" if r is not None else "squared distances"
-        for v in sq if r is None else r:
-            if (is_exact(v) or isinstance(v, float)) and v < 0:
+    def _store(self, n: int, seq, given: bool, ratios=None):
+        """Store seq (or its reduced (num, den) ratios): the distances when
+        given, else their squares.  Refuses negative values, float squares
+        that are NaN, infinite or 0.0 for a nonzero distance."""
+        what = "distances" if given else "squared distances"
+        if ratios is None and all_exact(seq):
+            ratios = [(v.numerator, v.denominator) for v in seq]
+        if ratios is not None:
+            if any(p < 0 for p, _ in ratios):
                 raise ValueError(f"{what} must be nonnegative")
-        if any(isinstance(v, float) and not math.isfinite(v) for v in sq):
-            raise ValueError("squared distances must be finite doubles")
-        if r is not None and any(type(s) is float and v and not s for v, s in zip(r, sq)):
-            raise ValueError("a nonzero distance squares to 0.0 in doubles")
-        self.n = n
-        self.space = pair_space(n)
-        self._r = r
-        self._sq = sq
-        self._exact = all_exact(sq)
-        # analysis memoizes the integer reduced matrix of exact vectors here.
-        self.reduced_memo = None
+            # The square of a reduced p/q is the reduced p^2/q^2, so L is
+            # the square of the lcm of the given denominators.
+            k = 2 if given else 1
+            scale = math.lcm(*(q for _, q in ratios)) ** k
+            scaled = tuple(p**k * (scale // q**k) for p, q in ratios)
+            self._r, self._sq = None, scaled if scale == 1 else None
+            self.scaled_squares, self.ratios = (scale, scaled), tuple(ratios) if given else None
+        else:
+            if any((is_exact(v) or isinstance(v, float)) and v < 0 for v in seq):
+                raise ValueError(f"{what} must be nonnegative")
+            sq = tuple(v * v for v in seq) if given else tuple(seq)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in sq):
+                raise ValueError("squared distances must be finite doubles")
+            if given and any(type(s) is float and v and not s for v, s in zip(seq, sq)):
+                raise ValueError("a nonzero distance squares to 0.0 in doubles")
+            self._r, self._sq = tuple(seq) if given else None, sq
+            self.scaled_squares = self.ratios = None
+        # analysis memoizes the integer reduced matrix of exact vectors in reduced_memo.
+        self.n, self.space, self.reduced_memo = n, pair_space(n), None
+
+    def integral(self) -> "DistanceVector":
+        """The vector of squares L r^2 for an exact vector, L its common denominator."""
+        twin = copy.copy(self)
+        scaled = self.scaled_squares[1]
+        twin._r, twin._sq, twin.scaled_squares = None, scaled, (1, scaled)
+        twin.ratios = twin.reduced_memo = None
+        return twin
 
     def get(self, i: int, j: int):
         """Distance between points i and j (0 when i == j)."""
-        if i == j:
-            return 0
-        if self._r is not None:
-            return self._r[self.space.index(i, j)]
-        sq = self._sq[self.space.index(i, j)]
-        if is_exact(sq):
-            root = exact_sqrt(sq)
-            if root is not None:
-                return root
-        return math.sqrt(float(sq))
+        return 0 if i == j else self.values[self.space.index(i, j)]
 
     def sq(self, i: int, j: int):
         """Squared distance between points i and j (0 when i == j)."""
-        if i == j:
-            return 0
-        return self._sq[self.space.index(i, j)]
+        return 0 if i == j else (self._sq or self.squared_values)[self.space.index(i, j)]
 
     @property
     def squared_values(self) -> tuple:
+        if self._sq is None:
+            scale, scaled = self.scaled_squares
+            self._sq = tuple(rational(v, scale) for v in scaled)
         return self._sq
 
     @property
     def values(self) -> tuple:
-        return tuple(self.get(p.i, p.j) for p in self.space.pairs)
+        """The given distances, or the roots of the given squares: exact
+        where rational, else float."""
+        if self._r is None and self.ratios is not None:
+            self._r = tuple(rational(p, q) for p, q in self.ratios)
+        elif self._r is None:
+            sq = self.squared_values
+            roots = [exact_sqrt(v) if self.scaled_squares or is_exact(v) else None for v in sq]
+            self._r = tuple(math.sqrt(float(v)) if t is None else t for v, t in zip(sq, roots))
+        return self._r
 
     def is_exact(self) -> bool:
-        return self._exact
+        return self.scaled_squares is not None
 
     def __eq__(self, other):
         if not isinstance(other, DistanceVector):
             return NotImplemented
-        return self.n == other.n and self._sq == other._sq
+        return self.n == other.n and self.squared_values == other.squared_values
 
     def __hash__(self):
-        return hash((self.n, self._sq))
+        return hash((self.n, self.squared_values))
 
     def __repr__(self):
         return f"DistanceVector(n={self.n}, r={list(self.values)!r})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": {p.label: format_number(self.get(p.i, p.j)) for p in self.space.pairs},
-        }
+        pairs = self.space.pairs
+        return {"n": self.n, "r": {p.label: format_number(v) for p, v in zip(pairs, self.values)}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -273,10 +294,12 @@ class DistanceVector:
             if pair in entries:
                 raise InputFormatError(f"pair label {label!r} repeats a pair")
             try:
-                entries[pair] = coerce_json_number(value, exact)
+                entries[pair] = json_ratio(value) if exact else coerce_json_number(value, False)
             except ValueError as exc:
                 raise InputFormatError(f'bad value for pair "{label}": {value!r}') from exc
-        return cls(n, entries)
+        seq, self = cls._as_sequence(entries, n), cls.__new__(cls)
+        self._store(n, seq, True, seq if exact else None)
+        return self
 
     @classmethod
     def from_json(cls, text: str, exact: bool = True) -> "DistanceVector":
@@ -293,9 +316,7 @@ class PointConfiguration:
         d = len(pts[0])
         if any(len(p) != d for p in pts):
             raise DimensionMismatch("all points must share one dimension")
-        self.points = tuple(pts)
-        self.n = len(pts)
-        self.d = d
+        self.points, self.n, self.d = tuple(pts), len(pts), d
 
     def is_exact(self) -> bool:
         return all(all_exact(p) for p in self.points)
@@ -305,20 +326,13 @@ class PointConfiguration:
         rows = [tuple(row) for row in matrix]
         if any(len(row) != self.d for row in rows):
             raise DimensionMismatch("map width must equal the point dimension")
-        out_d = len(rows)
-        if shift is None:
-            shift = (0,) * out_d
-        shift = tuple(shift)
-        if len(shift) != out_d:
+        shift = (0,) * len(rows) if shift is None else tuple(shift)
+        if len(shift) != len(rows):
             raise DimensionMismatch("shift length must equal the map height")
-        moved = []
-        for p in self.points:
-            image = tuple(
-                sum(row[m] * p[m] for m in range(self.d)) + shift[a]
-                for a, row in enumerate(rows)
-            )
-            moved.append(image)
-        return PointConfiguration(moved)
+        return PointConfiguration(
+            tuple(sum(row[m] * p[m] for m in range(self.d)) + s for row, s in zip(rows, shift))
+            for p in self.points
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PointConfiguration):
@@ -329,11 +343,8 @@ class PointConfiguration:
         return f"PointConfiguration(n={self.n}, d={self.d})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "points": [[format_number(x) for x in p] for p in self.points],
-        }
+        points = [[format_number(x) for x in p] for p in self.points]
+        return {"n": self.n, "d": self.d, "points": points}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -398,10 +409,7 @@ class MassParams:
         for m in masses:
             if m == 0:
                 raise ValueError("masses must be nonzero")
-            if is_exact(m):
-                values.append(Fraction(1, 1) / m)
-            else:
-                values.append(1.0 / m)
+            values.append(Fraction(1, 1) / m if is_exact(m) else 1.0 / m)
         return cls(tuple(values))
 
     def is_exact(self) -> bool:
@@ -410,9 +418,7 @@ class MassParams:
 
 def alpha_values(alpha) -> tuple:
     """Accept MassParams or a plain sequence of alpha scalars."""
-    if isinstance(alpha, MassParams):
-        return alpha.alpha
-    return tuple(alpha)
+    return alpha.alpha if isinstance(alpha, MassParams) else tuple(alpha)
 
 
 def distances(cfg: PointConfiguration) -> DistanceVector:
@@ -424,17 +430,17 @@ def distances(cfg: PointConfiguration) -> DistanceVector:
     """
     sq = []
     for p, q in combinations(cfg.points, 2):
-        sq.append(sum((a - b) * (a - b) for a, b in zip(p, q)))
+        diffs = [a - b for a, b in zip(p, q)]
+        if any(isinstance(d, float) and d and not d * d for d in diffs):
+            raise ValueError("a nonzero coordinate difference squares to 0.0 in doubles")
+        sq.append(sum(d * d for d in diffs))
     return DistanceVector.from_squared(cfg.n, sq)
 
 
 def _difference_columns(cfg: PointConfiguration):
     """Columns p_i - p_last for i < n-1, as a d x (n-1) row-major matrix."""
     base = cfg.points[-1]
-    return [
-        [cfg.points[i][m] - base[m] for i in range(cfg.n - 1)]
-        for m in range(cfg.d)
-    ]
+    return [[cfg.points[i][m] - base[m] for i in range(cfg.n - 1)] for m in range(cfg.d)]
 
 
 def affine_rank(cfg: PointConfiguration, tol: float = 1e-10) -> int:

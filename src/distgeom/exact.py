@@ -22,8 +22,10 @@ VERDICT_INDEFINITE = "indefinite"
 
 
 def _integral(rows) -> tuple[list[list[int]], int]:
-    """(L * rows as lists of ints, L), L the lcm of the entry denominators."""
+    """(L * rows as new lists of ints, L), L the lcm of the entry denominators."""
     scale = math.lcm(*{v.denominator for row in rows for v in row})
+    if scale == 1:
+        return [list(map(int, row)) for row in rows], 1
     return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
 
 
@@ -108,9 +110,8 @@ def nullspace_vector(rows):
     the other free columns are 0.  The pivot part is solved by back
     substitution scaled by D, the last pivot before f: the determinant of
     the f x f block the pivots span, so by Cramer's rule every quotient is
-    exact.  The vector is normalized to coprime
-    integer entries with the first nonzero entry positive, so results are
-    deterministic.
+    exact.  The vector is normalized to coprime integer entries with the
+    first nonzero entry positive, so results are deterministic.
     """
     m = _integral(rows)[0]
     n = _square(m, "nullspace_vector")
@@ -137,17 +138,16 @@ def psd_verdict(rows) -> tuple[str, int]:
     exactly when no negative diagonal ever appears and every
     all-zero-diagonal remainder is the zero matrix.  Returns (verdict,
     rank); for semidefinite matrices the rank equals the number of
-    positive pivots, for indefinite ones it comes from an untouched copy.
+    positive pivots, for indefinite ones from a fresh echelon form.
     """
-    base = _integral(rows)[0]
-    n = _square(base, "psd_verdict")
-    m = [row[:] for row in base]
+    m = _integral(rows)[0]
+    n = _square(m, "psd_verdict")
     r, prev = 0, 1
     while r < n:
         diag = [m[i][i] for i in range(r, n)]
         p = next((i for i, v in enumerate(diag, r) if v > 0), None)
         if min(diag) < 0 or (p is None and any(any(row[r:]) for row in m[r:])):
-            return VERDICT_INDEFINITE, len(_echelon(base)[0])
+            return VERDICT_INDEFINITE, len(_echelon(_integral(rows)[0])[0])
         if p is None:
             break
         m[r], m[p] = m[p], m[r]

@@ -48,18 +48,44 @@ def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def parse_number(text: str, exact: bool) -> Number:
-    """Parse "7", "-3/4" or "0.25" into the requested regime.
+def _unsigned(text: str) -> str:
+    return text[1:] if text[:1] in ("+", "-") else text
 
-    Fraction accepts both rational and terminating-decimal literals, so the
-    exact regime converts decimal text without rounding.
-    """
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Reduced (num, den), den > 0, of an exact literal: "7", "-3/4", "0.25"
+    or "1e-3", with surrounding whitespace.  A literal with any character
+    outside ASCII 0-9 + - / . e E goes to Fraction(str) unchanged, so each
+    interpreter accepts exactly what Fraction does.  Raises ValueError."""
+    s = text.strip()
     try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a number: {text!r}") from exc
-    if not exact:
-        return to_double(value, repr(text))
+        if s.strip("0123456789+-/.eE"):
+            value = Fraction(s)
+            return value.numerator, value.denominator
+        num, slash, den = _unsigned(s).partition("/")
+        mantissa, e, exp = num.replace("E", "e").partition("e")
+        whole, _, frac = mantissa.partition(".")
+        if not (whole + frac).isdigit() or (e and not _unsigned(exp).isdigit()) or (
+                slash and not (num.isdigit() and den.isdigit() and int(den))):
+            raise ValueError
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a number: {text!r}") from None
+    shift = (int(exp) if e else 0) - len(frac)
+    p, q = int(whole + frac) * 10 ** max(shift, 0), int(den or 1) * 10 ** max(-shift, 0)
+    g = math.gcd(p, q)
+    return (-p if s[:1] == "-" else p) // g, q // g
+
+
+def parse_number(text: str, exact: bool) -> Number:
+    """Parse "7", "-3/4" or "0.25" into the requested regime; decimal text
+    converts to the exact regime without rounding."""
+    num, den = parse_ratio(text)
+    return rational(num, den) if exact else to_double(Fraction(num, den), repr(text))
+
+
+def rational(num: int, den: int) -> int | Fraction:
+    """num/den as an int when it is integral, else as a Fraction."""
+    value = Fraction(num, den)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -80,32 +106,27 @@ def to_double(value, shown: str = "number") -> float:
 
 def coerce_json_number(value, exact: bool) -> Number:
     """Normalize a decoded JSON scalar (number or "p/q" string)."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a number: {value!r}")
     if isinstance(value, str):
         return parse_number(value, exact)
-    if isinstance(value, (int, Fraction)):
-        if exact:
-            return value
-        return to_double(value)
-    if isinstance(value, float):
-        value = to_double(value)
-        if exact:
-            frac = Fraction(value)
-            return frac.numerator if frac.denominator == 1 else frac
-        return value
-    raise ValueError(f"not a number: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, float)):
+        raise ValueError(f"not a number: {value!r}")
+    if isinstance(value, float) and exact:
+        return rational(*to_double(value).as_integer_ratio())
+    return value if exact else to_double(value)
+
+
+def json_ratio(value) -> tuple[int, int]:
+    """coerce_json_number(value, True) as a reduced (num, den) pair."""
+    if isinstance(value, str):
+        return parse_ratio(value)
+    return coerce_json_number(value, True).as_integer_ratio()
 
 
 def format_number(value: Number):
     """Render a scalar as a JSON-ready value (int, float, or "p/q")."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
+    if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return value
-    return value
+    return value.numerator if isinstance(value, Fraction) else value
 
 
 def _refuse_constant(name: str):
@@ -142,11 +163,7 @@ def exact_sqrt(value):
     frac = Fraction(value)
     if frac < 0:
         raise ValueError("square root of a negative value")
-    num_root = math.isqrt(frac.numerator)
-    den_root = math.isqrt(frac.denominator)
-    if num_root * num_root != frac.numerator:
+    num_root, den_root = math.isqrt(frac.numerator), math.isqrt(frac.denominator)
+    if num_root * num_root != frac.numerator or den_root * den_root != frac.denominator:
         return None
-    if den_root * den_root != frac.denominator:
-        return None
-    root = Fraction(num_root, den_root)
-    return root.numerator if root.denominator == 1 else root
+    return rational(num_root, den_root)

@@ -1,10 +1,12 @@
 """Determinants, definiteness, cone membership, embedding, volumes, forms."""
 
+import json
 import math
 import random
 import sys
 import types
 from fractions import Fraction
+from itertools import combinations
 
 import numpy
 import pytest
@@ -91,6 +93,15 @@ class TestDefiniteness:
             assert report.verdict == verdict
             assert report.min_eigenvalue is None
         assert definiteness(Matrix([[2, 1], [1, 2]])).min_eigenvalue == pytest.approx(1.0)
+
+    def test_exact_verdict_without_an_underflowed_eigenvalue(self):
+        # Nonzero entries of 1e-600 are 0.0 as doubles: the float eigenvalue
+        # read 0.0 for this positive definite matrix.
+        tiny = Fraction(1, 10**600)
+        report = definiteness(reduced_edm(DistanceVector(3, [Fraction(1, 10**300)] * 3), 2))
+        assert (report.verdict, report.rank, report.min_eigenvalue) == (VERDICT_PD, 2, None)
+        assert definiteness(Matrix([[tiny, 0], [0, 1]])).min_eigenvalue is None
+        assert definiteness(Matrix([[1, 0], [0, 0]])).min_eigenvalue == 0.0
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -218,6 +229,31 @@ class TestEmbed:
             )
             assert result.residual == oracle
         assert embedded >= 20
+
+    def test_exact_residual_reads_given_distances_as_float_fractions(self):
+        # Near-regular simplices with repeated vertices: interior and boundary
+        # vectors with rational distances p/q, each read as float(Fraction).
+        rng = random.Random(1403)
+        for _ in range(60):
+            n = rng.randint(2, 10)
+            rank = rng.randint(1, n - 1)
+            edges = {pair: Fraction(1000 + rng.randint(-10, 10), 1000)
+                     for pair in combinations(range(rank + 1), 2)}
+            vertex = list(range(rank + 1)) + [rng.randrange(rank + 1) for _ in range(n - rank - 1)]
+            rng.shuffle(vertex)
+            pairs = list(combinations(range(n), 2))
+            dist = [edges.get(tuple(sorted((vertex[i], vertex[j]))), Fraction(0)) for i, j in pairs]
+            doc = {"n": n, "r": {f"{i + 1},{j + 1}": f"{v.numerator}/{v.denominator}"
+                                 for (i, j), v in zip(pairs, dist)}}
+            result = embed(DistanceVector.from_json(json.dumps(doc)))
+            assert result.d == rank
+            given = [float(v) for v in dist]
+            scale = max(given) or 1.0
+            oracle = 0.0
+            for (p, q), v in zip(combinations(result.config.points, 2), given):
+                back = math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
+                oracle = max(oracle, abs(back - v) / scale)
+            assert result.residual.hex() == oracle.hex()
 
     def test_result_json(self):
         doc = embed(DistanceVector(2, [1])).to_json_dict()

@@ -407,6 +407,22 @@ class TestNonFiniteAndMalformedInput:
         assert code == 0
         doc = json.loads(out)
         assert (doc["membership"], doc["rank"]) == ("interior", 2)
+        # The reduced matrix underflows in doubles: no float eigenvalue, where
+        # "min_eigenvalue": 0.0 was reported.
+        assert doc["min_eigenvalue"] is None
+
+    # Coordinates 1e-300 apart: numeric `check` answered "boundary", rank 0,
+    # and numeric `embed` answered d = 0, both exit 0.
+    @pytest.mark.parametrize("verb", ["check", "embed"])
+    def test_point_differences_below_the_double_range_exit_two(self, capsys, tmp_path, verb):
+        path = tmp_path / "points.json"
+        path.write_text('{"n": 3, "d": 2, "points": [[0, 0], [1e-300, 0], [0, 1e-300]]}')
+        code, out, err = _run(capsys, verb, "--mode", "numeric", "--points", str(path))
+        assert _one_error_line(code, out, err)
+        assert "0.0 in doubles" in err
+        code, out, _ = _run(capsys, "check", "--points", str(path))
+        assert code == 0
+        assert json.loads(out) == {"membership": "interior", "min_eigenvalue": None, "rank": 2}
 
     def test_exact_mode_keeps_huge_literals(self, capsys):
         code, out, _ = _run(capsys, "det", "edm", "--r", "1e999")

@@ -22,6 +22,7 @@ from distgeom import (
     is_singular,
 )
 from distgeom import sampling
+from distgeom.scalars import parse_ratio
 
 
 class TestPairIndex:
@@ -126,6 +127,97 @@ class TestDistanceVector:
     def test_json_decimal_is_exact_in_exact_mode(self):
         back = DistanceVector.from_json('{"n": 2, "r": {"1,2": 0.1}}', exact=True)
         assert back.get(0, 1) == Fraction(1, 10)
+
+
+def _literal(rng) -> str:
+    """A seeded numeric literal of any form Fraction(str) knows, or nearly."""
+    digits = lambda: "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 4)))
+    body = rng.choice([
+        digits(),
+        digits() + "/" + digits(),
+        digits() + "." + digits(),
+        digits() + rng.choice([".", ""]) + digits() + rng.choice("eE")
+        + rng.choice(["", "+", "-"]) + digits(),
+        digits() + "_" + digits(),
+        "".join(rng.choice("0123456789+-/.eE_ \u0663\uff13") for _ in range(rng.randint(1, 6))),
+    ])
+    pad = lambda: rng.choice(["", " ", "\t", "\n "])
+    return pad() + rng.choice(["", "+", "-"]) + body + pad()
+
+
+def _fraction_or_none(text):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class TestExactInput:
+    """Exact literals become reduced (num, den) pairs and vectors ints over L."""
+
+    def test_parser_matches_fraction_on_this_interpreter(self):
+        rng = random.Random(1401)
+        accepted = 0
+        for _ in range(20000):
+            text = _literal(rng)
+            want = _fraction_or_none(text)
+            if want is None:
+                with pytest.raises(ValueError, match="not a number"):
+                    parse_ratio(text)
+                continue
+            accepted += 1
+            num, den = parse_ratio(text)
+            assert (type(num), type(den)) == (int, int)
+            assert (num, den) == (want.numerator, want.denominator), text
+        assert accepted > 5000
+
+    @pytest.mark.parametrize("text", ["1/0", "", "/", "1/-2", "nan", "inf", "1e", "--1"])
+    def test_parser_refusals(self, text):
+        with pytest.raises(ValueError, match="not a number"):
+            parse_ratio(text)
+
+    @pytest.mark.parametrize(
+        "text, pair",
+        [("7", (7, 1)), (" -3/4 ", (-3, 4)), ("0.25", (1, 4)), ("1e-3", (1, 1000)),
+         ("+06/4", (3, 2)), ("-0", (0, 1)), ("2.5E2", (250, 1)), (".5", (1, 2))],
+    )
+    def test_parser_forms(self, text, pair):
+        assert parse_ratio(text) == pair
+
+    def test_from_json_keeps_ints_over_one_denominator(self):
+        r = DistanceVector.from_json('{"n": 3, "r": {"1,2": "1/2", "2,3": 1, "1,3": "2/6"}}')
+        assert r.ratios == ((1, 2), (1, 3), (1, 1))
+        assert r.scaled_squares == (36, (9, 4, 36))
+        assert r.integral().squared_values == (9, 4, 36)
+
+    def test_from_json_matches_fraction_vectors(self):
+        rng = random.Random(1402)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            literals, raw = [], []
+            for _ in range(n * (n - 1) // 2):
+                form = rng.randrange(5)
+                num, den = rng.randint(0, 2000), rng.choice([1, 1, 2, 7, 1000])
+                text = [str(num), f"{num}/{den}", f"{num / 8}", f"{num}e-3", f"+{num}"][form]
+                literals.append(text)
+                # JSON ints and decimal literals go unquoted half of the time.
+                raw.append(text if form in (0, 2) and rng.random() < 0.5 else json.dumps(text))
+            labels = [f"{i + 1},{j + 1}" for i, j in combinations(range(n), 2)]
+            body = ", ".join(f'"{label}": {v}' for label, v in zip(labels, raw))
+            got = DistanceVector.from_json(f'{{"n": {n}, "r": {{{body}}}}}')
+            want = DistanceVector(n, [Fraction(s) for s in literals])
+            for attr in ("squared_values", "values"):
+                assert getattr(got, attr) == getattr(want, attr)
+                assert [type(v) for v in getattr(got, attr)] == [
+                    type(v) for v in getattr(want, attr)
+                ]
+            for i in range(n):
+                for j in range(n):
+                    assert got.get(i, j) == want.get(i, j)
+                    assert type(got.get(i, j)) is type(want.get(i, j))
+            assert got.to_json() == want.to_json()
+            assert got == want and hash(got) == hash(want)
+            assert got.is_exact() and want.is_exact()
 
 
 class TestPointConfiguration:
