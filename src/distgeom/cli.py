@@ -141,7 +141,14 @@ def _build_matrix(args, exact: bool):
     raise InputFormatError(f"unknown kind {kind!r}")
 
 
-def _emit(text: str, out: str | None):
+def _emit(render, out: str | None):
+    """Write render()'s text to --out or stdout.  An exact int past
+    CPython's int-to-str digit limit is a resource cap, not bad input."""
+    try:
+        text = render()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceCapError(f"result has an integer past the {limit}-digit print limit") from None
     if out:
         try:
             Path(out).write_text(text + "\n")
@@ -153,7 +160,7 @@ def _emit(text: str, out: str | None):
 
 def _cmd_build(args) -> int:
     matrix = _build_matrix(args, args.mode == "exact")
-    _emit(json.dumps(matrix.to_json_dict()), args.out)
+    _emit(lambda: json.dumps(matrix.to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -163,8 +170,7 @@ def _cmd_det(args) -> int:
         value = determinant(matrix)
     except OverflowError as exc:
         raise InputFormatError(f"{exc}; use --mode exact") from exc
-    rendered = format_number(value)
-    _emit(rendered if isinstance(rendered, str) else repr(rendered), args.out)
+    _emit(lambda: str(format_number(value)), args.out)
     return EXIT_OK
 
 
@@ -178,7 +184,7 @@ def _cmd_check(args) -> int:
         "min_eigenvalue": None if min_eig is None or math.isinf(min_eig) else min_eig,
         "rank": report.rank,
     }
-    _emit(json.dumps(doc), args.out)
+    _emit(lambda: json.dumps(doc), args.out)
     return EXIT_OK if membership != MEMBER_OUTSIDE else EXIT_NEGATIVE
 
 
@@ -190,7 +196,7 @@ def _cmd_embed(args) -> int:
         doc = {"error": "outside", "min_eigenvalue": exc.min_eigenvalue}
         sys.stderr.write(json.dumps(doc) + "\n")
         return EXIT_NEGATIVE
-    _emit(json.dumps(result.to_json_dict()), args.out)
+    _emit(lambda: json.dumps(result.to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -203,7 +209,7 @@ def _cmd_factor(args) -> int:
         )
     else:
         cert = factor_w(args.n, long_running=args.long_running)
-    _emit(json.dumps(cert.to_json_dict()), args.out)
+    _emit(lambda: json.dumps(cert.to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -212,7 +218,7 @@ def _cmd_verify(args) -> int:
     options = {k: given[k] for k in suites.SUITES[args.suite] if given[k] is not None}
     result = getattr(suites, f"{args.suite}_suite")(**options)
     verdict = f"{result.name}: {'pass' if result.ok else 'fail'}"
-    _emit("\n".join([*result.lines, verdict]), args.out)
+    _emit(lambda: "\n".join([*result.lines, verdict]), args.out)
     return EXIT_OK if result.ok else EXIT_NEGATIVE
 
 

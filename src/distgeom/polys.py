@@ -23,6 +23,12 @@ order is graded-lex order, multiplying two monomials adds their ints, and
 the divisor's leading monomial divides monomial `k` exactly when
 `d = k - lead` has `d >= 0` and no guard bit set (Monagan & Pearce,
 "Sparse polynomial division using a heap", JSC 2011).
+
+Large integer products (a determinant of 8 or more rows, or 2^17 or more
+term pairs) sum on int64 arrays instead when bounds read off the inputs
+prove no key or partial sum reaches 2^63: mixed-radix monomial keys
+(Kronecker substitution; von zur Gathen & Gerhard, "Modern Computer
+Algebra", 8.4), one sort, and `np.add.reduceat` over runs of equal keys.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import math
 import struct
 from fractions import Fraction
 from functools import lru_cache
+
+from .scalars import np
 
 
 class VarTable:
@@ -108,6 +116,23 @@ class _Packing:
         unpack, size = self._unpack, self._size
         return {unpack(k.to_bytes(size, "big")): c for k, c in terms.items()}
 
+    @staticmethod
+    def accumulate(products) -> dict:
+        """Sum of sign * small * large over (small, large, sign) triples."""
+        acc: dict = {}
+        get = acc.get
+        for small, large, sign in products:
+            for k1, c1 in small.items():
+                c1 *= sign
+                for k2, c2 in large.items():
+                    k = k1 + k2
+                    total = get(k, 0) + c1 * c2
+                    if total:
+                        acc[k] = total
+                    else:
+                        del acc[k]
+        return acc
+
 
 @lru_cache(maxsize=None)
 def _layout(nvars: int, slot_bytes: int) -> _Packing:
@@ -122,18 +147,67 @@ def _packing(nvars: int, degree_bound: int) -> _Packing:
     raise OverflowError(f"degree bound {degree_bound} exceeds the packed range")
 
 
-def _mul_add(small: dict, large: dict, acc: dict, sign: int = 1):
-    """acc += sign * small * large, all on packed term dicts."""
-    get = acc.get
-    for k1, c1 in small.items():
-        c1 *= sign
-        for k2, c2 in large.items():
-            k = k1 + k2
-            total = get(k, 0) + c1 * c2
-            if total:
-                acc[k] = total
-            else:
-                del acc[k]
+# Sizes from which the int64 step pays for numpy: only det B at n = 5 (10 x 10)
+# and its certificate's product (495,950 term pairs; 15,488 at most for n = 4).
+_INT64_MIN_ROWS = 8
+_INT64_MIN_PRODUCTS = 1 << 17
+
+
+class _Int64Layout:
+    """int64 keys and coefficients: a monomial's key is sum(e_v * place_v),
+    where place_v is the product of the radices after variable v."""
+
+    __slots__ = ("places", "radices")
+
+    def __init__(self, radices):
+        places = [math.prod(radices[v + 1:]) for v in range(len(radices))]
+        self.places = np.array(places, dtype=np.int64)
+        self.radices = np.array(radices, dtype=np.int64)
+
+    def pack(self, terms: dict):
+        exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), len(self.places))
+        return exps @ self.places, np.array(list(terms.values()), dtype=np.int64)
+
+    def unpack(self, packed) -> dict:
+        keys, coeffs = packed
+        digits = keys[:, None] // self.places % self.radices
+        return dict(zip(map(tuple, digits.tolist()), coeffs.tolist()))
+
+    @staticmethod
+    def accumulate(products):
+        """Sum of sign * small * large over (small, large, sign) triples, as
+        (keys, coeffs) sorted by key without zeros; None when it is zero."""
+        keys = np.concatenate([np.add.outer(a[0], b[0]).ravel() for a, b, _ in products])
+        coeffs = np.concatenate([np.multiply.outer(s * a[1], b[1]).ravel() for a, b, s in products])
+        order = keys.argsort()
+        keys, coeffs = keys[order], coeffs[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        sums = np.add.reduceat(coeffs, starts)
+        keep = sums != 0
+        return (keys[starts][keep], sums[keep]) if keep.any() else None
+
+
+def _int64_layout(rows):
+    """The int64 layout for products of one polynomial from each row, or
+    None unless every coefficient is an int and both bounds stay below 2^63."""
+    radices, coeff_bound = [1] * len(rows[0][0].table), 1
+    for row in rows:
+        terms = [term for poly in row for term in poly.terms.items()]
+        if any(type(coeff) is not int for _, coeff in terms):
+            return None
+        radices = [radix + max((exp[v] for exp, _ in terms), default=0)
+                   for v, radix in enumerate(radices)]
+        # Coefficients: every coefficient of a product over a subset R of
+        # the rows, and every partial sum of its term products, is at most
+        # the product over R of the rows' coefficient 1-norms (max(., 1)
+        # keeps a zero row from hiding the rows before it).
+        coeff_bound *= max(sum(abs(coeff) for _, coeff in terms), 1)
+    # Keys: a product's degree in v is at most the sum over rows of the
+    # row's largest degree in v, below radix v, so digits never carry and
+    # every key is below the product of the radices.
+    if max(math.prod(radices), coeff_bound) >= 1 << 63:
+        return None
+    return _Int64Layout(radices)
 
 
 class SparsePoly:
@@ -233,12 +307,16 @@ class SparsePoly:
         self._check_table(other)
         if not self.terms or not other.terms:
             return SparsePoly.zero(self.table)
+        if len(self.terms) * len(other.terms) >= _INT64_MIN_PRODUCTS:
+            layout = _int64_layout([[self], [other]])
+            if layout is not None:
+                product = layout.accumulate([(layout.pack(self.terms), layout.pack(other.terms), 1)])
+                return SparsePoly._raw(self.table, layout.unpack(product))
         packing = _packing(len(self.table), self.degree() + other.degree())
         small, large = packing.pack(self.terms), packing.pack(other.terms)
         if len(small) > len(large):
             small, large = large, small
-        out: dict = {}
-        _mul_add(small, large, out)
+        out = packing.accumulate([(small, large, 1)])
         if any(type(c) is Fraction for c in self.terms.values()) or any(
             type(c) is Fraction for c in other.terms.values()
         ):
@@ -496,16 +574,21 @@ def _det_minors(rows, table: VarTable) -> SparsePoly:
     # Laplace expansion row by row, memoizing minors on column subsets
     # (bitmask-keyed), so each column-subset minor is computed once and
     # every multiplication pairs a small entry with one growing minor.
-    # Every minor's degree is at most the sum of its rows' largest entry
-    # degrees, which sizes the packed slots.
+    # Each level gathers the (entry, minor, sign) products of every new
+    # minor for one accumulate step: int64 arrays for a large integer
+    # matrix whose bounds fit, packed dicts otherwise.  Every minor's degree
+    # is at most the sum of its rows' largest entry degrees, which sizes
+    # the packed slots.
     n = len(rows)
-    bound = sum(max(0, *(entry.degree() for entry in row)) for row in rows)
-    packing = _packing(len(table), bound)
-    level: dict = {0: {0: 1}}
+    layout = _int64_layout(rows) if n >= _INT64_MIN_ROWS else None
+    if layout is None:
+        bound = sum(max(0, *(entry.degree() for entry in row)) for row in rows)
+        layout = _packing(len(table), bound)
+    level: dict = {0: layout.pack({(0,) * len(table): 1})}
     for r in range(n):
         row = rows[r]
-        nonzero = [(j, packing.pack(row[j].terms)) for j in range(n) if row[j].terms]
-        nxt: dict = {}
+        nonzero = [(j, layout.pack(row[j].terms)) for j in range(n) if row[j].terms]
+        products: dict = {}
         for mask, minor in level.items():
             if not minor:
                 continue
@@ -514,14 +597,11 @@ def _det_minors(rows, table: VarTable) -> SparsePoly:
                 if mask & bit:
                     continue
                 sign = -1 if ((mask & (bit - 1)).bit_count() + r) & 1 else 1
-                acc = nxt.get(mask | bit)
-                if acc is None:
-                    acc = {}
-                    nxt[mask | bit] = acc
-                _mul_add(entry, minor, acc, sign)
-        level = nxt
-    full = (1 << n) - 1
-    return SparsePoly._raw(table, packing.unpack(level.get(full, {})))
+                products.setdefault(mask | bit, []).append((entry, minor, sign))
+        level = {mask: layout.accumulate(triples) for mask, triples in products.items()}
+        del products  # frees the previous level's minors before the next level
+    minor = level.get((1 << n) - 1)
+    return SparsePoly._raw(table, layout.unpack(minor) if minor else {})
 
 
 def poly_det(matrix) -> SparsePoly:

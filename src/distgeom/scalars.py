@@ -7,9 +7,9 @@ pick a regime by the scalars they pass in, and the helpers here classify
 values and serialize them in a stable way.  Non-integer rationals travel
 through JSON as "p/q" strings.
 
-Only the numeric regime needs numpy, so the package reaches it through
-`np` below, which imports numpy on first attribute access: exact work
-never pays for loading it.
+Only the numeric regime and large symbolic products need numpy, so the
+package reaches it through `np` below, which imports numpy on first
+attribute access: other exact work never pays for loading it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ class _LazyModule(types.ModuleType):
 
 np = _LazyModule("numpy")
 
+# Largest exponent magnitude of a literal: CPython's default int digit limit.
+MAX_EXPONENT = 4300
+
 
 def is_exact(value) -> bool:
     """True for scalars that carry no rounding error (int or Fraction)."""
@@ -56,8 +59,13 @@ def parse_ratio(text: str) -> tuple[int, int]:
     """Reduced (num, den), den > 0, of an exact literal: "7", "-3/4", "0.25"
     or "1e-3", with surrounding whitespace.  A literal with any character
     outside ASCII 0-9 + - / . e E goes to Fraction(str) unchanged, so each
-    interpreter accepts exactly what Fraction does.  Raises ValueError."""
+    interpreter accepts exactly what Fraction does.  An exponent past
+    MAX_EXPONENT is refused.  Raises ValueError."""
     s = text.strip()
+    if "e" in s or "E" in s:  # checked before any power of ten is formed
+        exp = _unsigned(s[max(s.rfind("e"), s.rfind("E")) + 1:].replace("_", "")).lstrip("0")
+        if exp.isdecimal() and (len(exp) > 9 or int(exp) > MAX_EXPONENT):
+            raise ValueError(f"exponent of {text!r} is past the limit of {MAX_EXPONENT}")
     try:
         if s.strip("0123456789+-/.eE"):
             value = Fraction(s)
@@ -153,7 +161,7 @@ def loads_with_exact_numbers(text: str, exact: bool):
     `-Infinity` are refused in both regimes, and so is an object that
     repeats a key.  Refusals raise ValueError.
     """
-    parse_float = Fraction if exact else _finite_float
+    parse_float = (lambda t: Fraction(*parse_ratio(t))) if exact else _finite_float
     return json.loads(text, parse_float=parse_float, parse_constant=_refuse_constant,
                       object_pairs_hook=_unique_keys)
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -269,6 +270,13 @@ class TestVerify:
             k: params[k].default for k in passed if k not in options
         }
 
+    def test_signdict_suite_fails_on_a_wrong_sigma(self, monkeypatch):
+        sigma = suites.nbody_sigma_value
+        monkeypatch.setattr(suites, "nbody_sigma_value", lambda alpha, r: sigma(alpha, r) + 1)
+        result = suites.signdict_suite(samples=1)
+        assert not result.ok
+        assert sum("quotient sign failed" in line for line in result.lines) == 2
+
     def test_signs_suite_without_samples_fails(self):
         result = signs_suite(samples=0, singular_samples=0, n_max=3)
         assert not result.ok
@@ -424,6 +432,32 @@ class TestNonFiniteAndMalformedInput:
         assert code == 0
         assert json.loads(out) == {"membership": "interior", "min_eigenvalue": None, "rank": 2}
 
+    # A ten-character exponent stalled the parser on 10 ** exponent.
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    def test_exponent_past_the_limit_exits_two_at_once(self, capsys, tmp_path, mode):
+        path = tmp_path / "r.json"
+        path.write_text('{"n": 2, "r": {"1,2": 1e10000000}}')
+        start = time.perf_counter()
+        huge = ",".join(["1e10000000"] * 3)
+        code, out, err = _run(capsys, "check", "--mode", mode, "--r", huge)
+        assert _one_error_line(code, out, err)
+        assert "exponent of '1e10000000' is past the limit" in err
+        code, out, err = _run(capsys, "check", "--mode", mode, "--input", str(path))
+        assert _one_error_line(code, out, err)
+        assert time.perf_counter() - start < 1.0
+
+    # Results past CPython's int-to-str digit limit were computed and then
+    # refused under the parse-error code with Python's own message.
+    @pytest.mark.parametrize(
+        "argv", [("det", "cm", "--r", "1e1500,1e1500,1e1500"), ("build", "edm", "--r", "1e2200,1,1")]
+    )
+    def test_results_too_long_to_print_exit_four(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            f"error: result has an integer past the {sys.get_int_max_str_digits()}-digit print limit"
+        ]
+
     def test_exact_mode_keeps_huge_literals(self, capsys):
         code, out, _ = _run(capsys, "det", "edm", "--r", "1e999")
         assert code == 0
@@ -570,6 +604,8 @@ def run(*argv):
 run("build", "redm", "--r", "1,1,1", "--k", "1")
 run("det", "cm", "--r", "1,1,1")
 run("factor", "--n", "3")
+run("factor", "--n", "4")
+run("factor", "--family", "w", "--n", "3")
 run("verify", "cmdk", "--samples", "2")
 assert "numpy" not in sys.modules, "an exact subcommand loaded numpy"
 run("embed", "--r", "1,1,1")

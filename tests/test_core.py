@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import re
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +24,7 @@ from distgeom import (
     is_singular,
 )
 from distgeom import sampling
-from distgeom.scalars import parse_ratio
+from distgeom.scalars import MAX_EXPONENT, parse_ratio
 
 
 class TestPairIndex:
@@ -145,6 +147,14 @@ def _literal(rng) -> str:
     return pad() + rng.choice(["", "+", "-"]) + body + pad()
 
 
+def _exponent(text) -> int:
+    """Magnitude of the digits after a literal's last e/E, underscores
+    dropped; 0 when it has none."""
+    tail = re.search(r"[eE][+-]?([\d_]+)\s*$", text)
+    digits = tail.group(1).replace("_", "") if tail else ""
+    return int(digits) if digits else 0
+
+
 def _fraction_or_none(text):
     try:
         return Fraction(text.strip())
@@ -160,6 +170,10 @@ class TestExactInput:
         accepted = 0
         for _ in range(20000):
             text = _literal(rng)
+            if _exponent(text) > MAX_EXPONENT:
+                with pytest.raises(ValueError, match="exponent"):
+                    parse_ratio(text)
+                continue
             want = _fraction_or_none(text)
             if want is None:
                 with pytest.raises(ValueError, match="not a number"):
@@ -175,6 +189,19 @@ class TestExactInput:
     def test_parser_refusals(self, text):
         with pytest.raises(ValueError, match="not a number"):
             parse_ratio(text)
+
+    @pytest.mark.parametrize(
+        "text", ["1e4301", "-2.5E-4301", "1e10000000", "1_0e1_000_000_0", "\uff11e10000000"]
+    )
+    def test_exponents_past_the_limit_are_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            parse_ratio(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_exponents_up_to_the_limit_are_exact(self):
+        assert parse_ratio("1e200") == (10**200, 1)
+        assert parse_ratio(f"-3e-{MAX_EXPONENT}") == (-3, 10**MAX_EXPONENT)
 
     @pytest.mark.parametrize(
         "text, pair",

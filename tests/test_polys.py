@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from distgeom import exact
+from distgeom import exact, polys
 from distgeom.polys import SparsePoly, VarTable, exact_divide, poly_det, variables
 
 
@@ -407,6 +407,98 @@ class TestPackedKernelEdges:
                 ]
                 oracle = _oracle_det([[e.terms for e in row] for row in rows], 3)
                 assert poly_det(rows).terms == oracle
+
+
+def _int64_calls(monkeypatch) -> list:
+    """Record each call of the int64 accumulate step."""
+    calls = []
+    step = polys._Int64Layout.accumulate
+    spy = lambda products: calls.append(len(products)) or step(products)
+    monkeypatch.setattr(polys._Int64Layout, "accumulate", staticmethod(spy))
+    return calls
+
+
+def _dict_step_only(monkeypatch):
+    monkeypatch.setattr(polys, "_INT64_MIN_ROWS", float("inf"))
+    monkeypatch.setattr(polys, "_INT64_MIN_PRODUCTS", float("inf"))
+
+
+def _int_matrix(seed: int, m: int):
+    table = VarTable(["x", "y"])
+    rng = random.Random(seed)
+    return [
+        [_random_poly(rng, table, max_terms=2, max_exp=1, max_coeff=3) for _ in range(m)]
+        for _ in range(m)
+    ]
+
+
+class TestInt64Accumulate:
+    """Large integer determinants and products sum on int64 arrays when the
+    bounds allow it; the dict step is the reference."""
+
+    @pytest.mark.parametrize("m", [8, 9, 10])
+    def test_determinants_match_the_dict_step(self, monkeypatch, m):
+        rows = _int_matrix(20 + m, m)
+        calls = _int64_calls(monkeypatch)
+        fast = poly_det(rows)
+        assert calls and len(fast.terms) > 20
+        _dict_step_only(monkeypatch)
+        assert fast.terms == poly_det(rows).terms
+        assert {type(c) for c in fast.terms.values()} == {int}
+
+    def test_large_products_match_the_dict_step(self, monkeypatch):
+        table = VarTable(["w", "x", "y", "z"])
+        rng = random.Random(31)
+        factors = []
+        for size in (420, 380):
+            terms = {}
+            while len(terms) < size:
+                exp = tuple(rng.randint(0, 9) for _ in table.names)
+                terms[exp] = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+            factors.append(SparsePoly(table, terms))
+        p, q = factors
+        assert len(p.terms) * len(q.terms) >= polys._INT64_MIN_PRODUCTS
+        calls = _int64_calls(monkeypatch)
+        fast = p * q
+        assert calls == [1]
+        _dict_step_only(monkeypatch)
+        assert fast.terms == (p * q).terms
+        assert {type(c) for c in fast.terms.values()} == {int}
+
+    # Each matrix is a ring image of one the int64 step takes, so its
+    # determinant is known; none may reach the int64 step.
+    @pytest.mark.parametrize("cause", ["fraction", "key-bound", "coefficient-bound"])
+    def test_fallback_to_the_dict_step(self, monkeypatch, cause):
+        rows = _int_matrix(40, 8)
+        calls = _int64_calls(monkeypatch)
+        base = poly_det(rows)
+        assert calls
+        calls.clear()
+        table = base.table
+        if cause == "fraction":
+            image = lambda e: e.scale(Fraction(1, 2))
+            expected = base.scale(Fraction(1, 2**8))
+        elif cause == "key-bound":
+            # x -> x^k, y -> y^k: radices near 8k each, product past 2^63.
+            k = 2**40
+            image = lambda e: SparsePoly(table, {(k * a, k * b): c for (a, b), c in e.terms.items()})
+            expected = image(base)
+        else:
+            image = lambda e: e.scale(2**10)
+            expected = base.scale(2**80)
+            assert max(abs(c) for c in expected.terms.values()) >= 2**63
+        assert poly_det([[image(e) for e in row] for row in rows]) == expected
+        assert calls == []
+
+    def test_large_product_with_a_fraction_falls_back(self, monkeypatch):
+        table = VarTable(["x", "y"])
+        p = SparsePoly(table, {(i, j): 1 for i in range(20) for j in range(20)})
+        q = SparsePoly(table, {(i, j): i - j for i in range(19) for j in range(19)})
+        q = q + SparsePoly(table, {(19, 19): Fraction(1, 3)})
+        assert len(p.terms) * len(q.terms) >= polys._INT64_MIN_PRODUCTS
+        calls = _int64_calls(monkeypatch)
+        assert (p * q).terms == _oracle_mul(p.terms, q.terms)
+        assert calls == []
 
 
 class TestTextRoundtrip:
