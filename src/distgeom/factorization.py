@@ -35,7 +35,7 @@ from .core import (
     alpha_values,
     elementary_symmetric,
 )
-from .polys import SparsePoly, VarTable, exact_divide, poly_det
+from .polys import SparsePoly, VarTable, divide_out, exact_divide, poly_det
 from .scalars import all_exact
 
 SYMBOLIC_CAP = 5
@@ -180,20 +180,14 @@ class FactorizationCertificate:
 
 
 def _certified_split(family: str, n: int, lhs: SparsePoly, factors) -> FactorizationCertificate:
-    current = lhs
-    for factor in factors:
-        quotient = exact_divide(current, factor)
-        if quotient is None:
-            raise VerificationError(
-                f"{family}: factor {factor.to_text()[:80]!r} does not divide exactly"
-            )
-        current = quotient
-    product = SparsePoly.const(lhs.table, 1)
-    for factor in factors:
-        product = product * factor
-    if product * current != lhs:
+    quotient, failed = divide_out(lhs, factors)
+    if failed == len(factors):
         raise VerificationError(f"{family}: re-multiplication check failed")
-    return FactorizationCertificate(family, n, lhs, tuple(factors), current, True)
+    if failed is not None:
+        raise VerificationError(
+            f"{family}: factor {factors[failed].to_text()[:80]!r} does not divide exactly"
+        )
+    return FactorizationCertificate(family, n, lhs, tuple(factors), quotient, True)
 
 
 def factor_nbody(

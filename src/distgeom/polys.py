@@ -24,11 +24,15 @@ the divisor's leading monomial divides monomial `k` exactly when
 `d = k - lead` has `d >= 0` and no guard bit set (Monagan & Pearce,
 "Sparse polynomial division using a heap", JSC 2011).
 
-Large integer products (a determinant of 8 or more rows, or 2^17 or more
-term pairs) sum on int64 arrays instead when bounds read off the inputs
-prove no key or partial sum reaches 2^63: mixed-radix monomial keys
-(Kronecker substitution; von zur Gathen & Gerhard, "Modern Computer
-Algebra", 8.4), one sort, and `np.add.reduceat` over runs of equal keys.
+Large integer work -- a determinant of 8 or more rows, a certificate
+whose lhs has 2^15 or more terms -- runs on int64 arrays instead when
+bounds read off the inputs prove no key or partial sum reaches 2^63:
+mixed-radix monomial keys (Kronecker substitution; von zur Gathen &
+Gerhard, "Modern Computer Algebra", 8.4), one stable sort, and
+`np.add.reduceat` over runs of equal keys.  `divide_out` keeps such a
+certificate packed from lhs to its re-multiplication: a one-term factor
+shifts keys, a longer one runs `exact_divide`'s heap loop on packed ints
+made from the int64 digits, and only the quotient is decoded.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import math
 import struct
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .scalars import np
 
@@ -98,7 +103,7 @@ _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 class _Packing:
     """Conversion between exponent tuples and packed ints for one layout."""
 
-    __slots__ = ("guard", "_pack", "_unpack", "_size")
+    __slots__ = ("guard", "_pack", "_unpack", "_size", "_slot")
 
     def __init__(self, nvars: int, slot_bytes: int):
         code = _SLOT_CODES[slot_bytes]
@@ -107,10 +112,18 @@ class _Packing:
         self._pack = struct.Struct(f">{nvars + 1}{code}").pack
         self._unpack = struct.Struct(f">{slot_bytes}x{nvars}{code}").unpack
         self._size = slot_bytes * (nvars + 1)
+        self._slot = f">u{slot_bytes}"
 
     def pack(self, terms: dict) -> dict:
         pack, from_bytes = self._pack, int.from_bytes
         return {from_bytes(pack(sum(e), *e), "big"): c for e, c in terms.items()}
+
+    def pack_digits(self, digits, coeffs) -> dict:
+        """`pack` for exponent rows of an int64 array, row by row."""
+        slots = np.column_stack([digits.sum(1), digits]).astype(self._slot)
+        from_bytes = int.from_bytes
+        keys = [from_bytes(row, "big") for row in slots.view(f"V{self._size}").ravel().tolist()]
+        return dict(zip(keys, coeffs.tolist()))
 
     def unpack(self, terms: dict) -> dict:
         unpack, size = self._unpack, self._size
@@ -147,10 +160,10 @@ def _packing(nvars: int, degree_bound: int) -> _Packing:
     raise OverflowError(f"degree bound {degree_bound} exceeds the packed range")
 
 
-# Sizes from which the int64 step pays for numpy: only det B at n = 5 (10 x 10)
-# and its certificate's product (495,950 term pairs; 15,488 at most for n = 4).
+# Sizes from which int64 arrays pay for numpy: det B at n = 5 (10 x 10 and
+# 64,063 terms); the largest certificate below it has 7,866 terms.
 _INT64_MIN_ROWS = 8
-_INT64_MIN_PRODUCTS = 1 << 17
+_INT64_MIN_TERMS = 1 << 15
 
 
 class _Int64Layout:
@@ -165,13 +178,18 @@ class _Int64Layout:
         self.radices = np.array(radices, dtype=np.int64)
 
     def pack(self, terms: dict):
-        exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), len(self.places))
-        return exps @ self.places, np.array(list(terms.values()), dtype=np.int64)
+        """(keys, coeffs) sorted by key, as `accumulate` returns them."""
+        keys = _exponents(terms, len(self.places)) @ self.places
+        order = keys.argsort(kind="stable")
+        return keys[order], np.array(list(terms.values()), dtype=np.int64)[order]
+
+    def digits(self, keys):
+        return keys[:, None] // self.places % self.radices
 
     def unpack(self, packed) -> dict:
         keys, coeffs = packed
-        digits = keys[:, None] // self.places % self.radices
-        return dict(zip(map(tuple, digits.tolist()), coeffs.tolist()))
+        columns = self.digits(keys).T.tolist()  # zip(*columns) builds tuples fast
+        return dict(zip(zip(*columns) if columns else [()] * len(keys), coeffs.tolist()))
 
     @staticmethod
     def accumulate(products):
@@ -179,29 +197,44 @@ class _Int64Layout:
         (keys, coeffs) sorted by key without zeros; None when it is zero."""
         keys = np.concatenate([np.add.outer(a[0], b[0]).ravel() for a, b, _ in products])
         coeffs = np.concatenate([np.multiply.outer(s * a[1], b[1]).ravel() for a, b, s in products])
-        order = keys.argsort()
-        keys, coeffs = keys[order], coeffs[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(coeffs, starts)
+        # Each product is a sorted run of the large factor's keys per term
+        # of the small one: a stable sort merges the runs.
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)  # first of each run of equal keys
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        sums = np.add.reduceat(coeffs[order], starts)
         keep = sums != 0
-        return (keys[starts][keep], sums[keep]) if keep.any() else None
+        return (keys[starts[keep]], sums[keep]) if keep.any() else None
+
+
+def _exponents(exps, nvars: int):
+    """The exponent tuples as the rows of an int64 array."""
+    flat = np.fromiter(chain.from_iterable(exps), np.int64, len(exps) * nvars)
+    return flat.reshape(len(exps), nvars)
 
 
 def _int64_layout(rows):
     """The int64 layout for products of one polynomial from each row, or
     None unless every coefficient is an int and both bounds stay below 2^63."""
-    radices, coeff_bound = [1] * len(rows[0][0].table), 1
+    nvars = len(rows[0][0].table)
+    radices, coeff_bound = [1] * nvars, 1
     for row in rows:
-        terms = [term for poly in row for term in poly.terms.items()]
-        if any(type(coeff) is not int for _, coeff in terms):
+        coeffs = [coeff for poly in row for coeff in poly.terms.values()]
+        if any(type(coeff) is not int for coeff in coeffs):
             return None
-        radices = [radix + max((exp[v] for exp, _ in terms), default=0)
-                   for v, radix in enumerate(radices)]
+        try:
+            exps = _exponents([exp for poly in row for exp in poly.terms], nvars)
+        except OverflowError:
+            return None
+        radices = [radix + top for radix, top in zip(radices, exps.max(0, initial=0).tolist())]
         # Coefficients: every coefficient of a product over a subset R of
         # the rows, and every partial sum of its term products, is at most
         # the product over R of the rows' coefficient 1-norms (max(., 1)
         # keeps a zero row from hiding the rows before it).
-        coeff_bound *= max(sum(abs(coeff) for _, coeff in terms), 1)
+        coeff_bound *= max(sum(map(abs, coeffs)), 1)
     # Keys: a product's degree in v is at most the sum over rows of the
     # row's largest degree in v, below radix v, so digits never carry and
     # every key is below the product of the radices.
@@ -307,11 +340,6 @@ class SparsePoly:
         self._check_table(other)
         if not self.terms or not other.terms:
             return SparsePoly.zero(self.table)
-        if len(self.terms) * len(other.terms) >= _INT64_MIN_PRODUCTS:
-            layout = _int64_layout([[self], [other]])
-            if layout is not None:
-                product = layout.accumulate([(layout.pack(self.terms), layout.pack(other.terms), 1)])
-                return SparsePoly._raw(self.table, layout.unpack(product))
         packing = _packing(len(self.table), self.degree() + other.degree())
         small, large = packing.pack(self.terms), packing.pack(other.terms)
         if len(small) > len(large):
@@ -496,9 +524,12 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
     if num.is_zero():
         return SparsePoly.zero(num.table)
     packing = _packing(len(num.table), max(num.degree(), den.degree()))
-    guard = packing.guard
-    remainder = packing.pack(num.terms)
-    den_terms = packing.pack(den.terms)
+    quotient = _heap_divide(packing.pack(num.terms), packing.pack(den.terms), packing.guard)
+    return None if quotient is None else SparsePoly._raw(num.table, packing.unpack(quotient))
+
+
+def _heap_divide(remainder: dict, den_terms: dict, guard: int):
+    """The packed quotient of `exact_divide`, or None; consumes both dicts."""
     den_key = max(den_terms)
     den_coeff = den_terms.pop(den_key)
     den_rest = list(den_terms.items())
@@ -515,7 +546,7 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
         if shift < 0 or shift & guard:
             return None
         if den_coeff == 1:
-            q_coeff = coeff
+            q_coeff = coeff if type(coeff) is int else _canonical(coeff)
         elif type(coeff) is int and type(den_coeff) is int:
             q_coeff, rem = divmod(coeff, den_coeff)
             if rem:
@@ -536,7 +567,56 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
                     remainder[target] = total
                 else:
                     del remainder[target]
-    return SparsePoly._raw(num.table, packing.unpack(quotient))
+    return quotient
+
+
+def _divide_int64(layout: _Int64Layout, packed, factor: SparsePoly):
+    """packed / factor: int64 arrays after a one-term factor whose
+    coefficient divides every coefficient, else a polynomial, or None."""
+    if not factor.terms:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(factor.terms) != 1:
+        digits = layout.digits(packed[0])
+        packing = _packing(len(factor.table), max(int(digits.sum(1).max()), factor.degree()))
+        remainder = packing.pack_digits(digits, packed[1])
+        quotient = _heap_divide(remainder, packing.pack(factor.terms), packing.guard)
+        return None if quotient is None else SparsePoly._raw(factor.table, packing.unpack(quotient))
+    (exp, coeff), = factor.terms.items()
+    keys, coeffs = packed
+    radices = layout.radices.tolist()
+    if any(e >= r for e, r in zip(exp, radices)) or (layout.digits(keys) < exp).any():
+        return None
+    if type(coeff) is not int or abs(coeff) >= 1 << 63 or (coeffs % coeff).any():
+        return exact_divide(SparsePoly._raw(factor.table, layout.unpack(packed)), factor)
+    return keys - sum(e * p for e, p in zip(exp, layout.places.tolist())), coeffs // coeff
+
+
+def divide_out(lhs: SparsePoly, factors):
+    """Divide lhs by each factor in turn and re-multiply their product
+    once: (quotient, None) when that gives lhs back, else (None, k) for the
+    first factor k that does not divide, or (None, len(factors)) when the
+    re-multiplication differs.  Large integer lhs: see the module docstring.
+    """
+    product = math.prod(factors, start=SparsePoly.const(lhs.table, 1))
+    layout = _int64_layout([[lhs]]) if len(lhs.terms) >= _INT64_MIN_TERMS else None
+    packed = None if layout is None else layout.pack(lhs.terms)
+    current = lhs if packed is None else packed
+    for k, factor in enumerate(factors):
+        if isinstance(current, SparsePoly):
+            current = exact_divide(current, factor)
+        else:
+            current = _divide_int64(layout, current, factor)
+        if current is None:
+            return None, k
+    if not isinstance(current, SparsePoly):
+        current = SparsePoly._raw(lhs.table, layout.unpack(current))
+    check = layout and _int64_layout([[product], [current]])
+    if check is not None and np.array_equal(check.radices, layout.radices):
+        got = check.accumulate([(check.pack(product.terms), check.pack(current.terms), 1)])
+        same = got is not None and all(map(np.array_equal, got, packed))
+    else:
+        same = product * current == lhs
+    return (current, None) if same else (None, len(factors))
 
 
 def _entry_rows(matrix):

@@ -56,7 +56,6 @@ from .factorization import (
     symbolic_entry_table,
 )
 from .polys import VarTable, poly_det
-from .scalars import np
 
 
 @dataclass
@@ -83,28 +82,20 @@ def _require_points(n_max: int, least: int = 2):
         raise ValueError(f"n_max must be at least {least}, got {n_max}")
 
 
-def _hadamard_scale(rows) -> float:
-    scale = 1.0
-    for row in rows:
-        scale *= math.sqrt(sum(float(v) * float(v) for v in row))
-    return max(scale, 1.0)
-
-
 def signs_suite(
     seed: int = 0,
     samples: int = 200,
     singular_samples: int = 50,
     n_max: int = 6,
     tol: float = 1e-10,
-    singular_tol: float = 1e-8,
 ) -> SuiteResult:
     """Positivity of the interaction matrix and the exact sign ladder.
 
     For nonsingular configurations with positive mass parameters: the
     interaction matrix is numerically positive definite, and the exact
     values satisfy det B > 0, e_{n-1} > 0, (-1)^n delta > 0 and
-    (-1)^n sigma > 0.  Constructed singular configurations drive the
-    numeric determinant to zero at the Hadamard scale.
+    (-1)^n sigma > 0.  Constructed singular configurations make det B
+    exactly zero.
     """
     _require_points(n_max)
     rng = random.Random(seed)
@@ -139,14 +130,8 @@ def signs_suite(
         cfg = sampling.random_singular_configuration(rng, n)
         r = distances(cfg)
         alpha = sampling.random_positive_alpha(rng, n)
-        rows = nbody_matrix(alpha, r).map(float).to_lists()
-        det_b = float(np.linalg.det(np.array(rows, dtype=float))) if rows else 0.0
-        scale = _hadamard_scale(rows)
-        if abs(det_b) > singular_tol * scale:
-            failures.append(
-                f"singular sample {idx}: n={n} |det| = {abs(det_b):.3e} "
-                f"exceeds {singular_tol:.0e} x scale"
-            )
+        if exact.det(nbody_matrix(alpha, r).to_lists()) != 0:
+            failures.append(f"singular sample {idx}: n={n} det B is not zero")
     return _result(
         "signs",
         failures,

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from distgeom import suites
+from distgeom import sampling, suites
 from distgeom.cli import build_parser, main
 from distgeom.suites import SUITES, signs_suite
 
@@ -276,6 +277,18 @@ class TestVerify:
         result = suites.signdict_suite(samples=1)
         assert not result.ok
         assert sum("quotient sign failed" in line for line in result.lines) == 2
+
+    def test_signs_suite_fails_on_a_nonsingular_singular_sample(self, monkeypatch):
+        # From n = 7 a nonsingular det B sits below 1e-8 of its Hadamard
+        # bound, so only the exact zero test can tell it from a singular one.
+        monkeypatch.setattr(
+            sampling, "random_singular_configuration", sampling.random_nonsingular_configuration
+        )
+        result = signs_suite(samples=0, singular_samples=6, n_max=7)
+        assert not result.ok
+        assert [line.split(":")[1] for line in result.lines] == [
+            f" n={n} det B is not zero" for n in range(2, 8)
+        ]
 
     def test_signs_suite_without_samples_fails(self):
         result = signs_suite(samples=0, singular_samples=0, n_max=3)
@@ -620,3 +633,102 @@ def test_exact_subcommands_do_not_import_numpy():
         [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+class TestFuzz:
+    """Seeded random argv lists and JSON documents through `main`: every run
+    ends in exit code 0-4 with no traceback, whatever the input.  Each
+    choice takes a well-formed value most of the time, so that runs get
+    past the parser as well as into it."""
+
+    # (well-formed, malformed) pools.
+    TOKENS = (["1", "2", "3/2", "0.5", " 2 ", "1e-3", "7"], [
+        "0", "-1", "1e4301", "3e-4300", "-1e-4300", "1" * 5000, "0." + "7" * 4400,
+        "nan", "NaN", "inf", "-Infinity", "1/0", "abc", "", "1e999", "0x10",
+        "1_000", "٣", "--1", "1e", "/",
+    ])
+    VALUES = (["1", "2", "2.5", '"2/3"', "1e-3", "3"], [
+        "0", "-0", "-1", "1e4301", "3e-4300", "1e-400", "NaN", "Infinity",
+        "-Infinity", '"x"', '"1e4301"', "null", "true", "[1]", "{}",
+        "1" * 5000, "0." + "3" * 5000,
+    ])
+    SIZES = (["2", "3", "3", "4"], ["0", "1", "-1", "1.5", "1e4301", "100000", '"3"', "true"])
+    INTS = (["1", "2", "3", "4"], ["-1", "0", "5", "6", "2.5", "x", "", "1e3", "9" * 30])
+    TOLS = (["1e-10", "1e-6", "0"], ["nan", "inf", "-1", "x", "1e-400", "1e400"])
+
+    @staticmethod
+    def _pick(rng, pools):
+        return rng.choice(pools[0] if rng.random() < 0.8 else pools[1])
+
+    def _doc(self, rng, kind):
+        n = self._pick(rng, self.SIZES)
+        size = int(n) if n in self.SIZES[0] and rng.random() < 0.8 else rng.randint(0, 4)
+        value = lambda: self._pick(rng, self.VALUES)
+        if kind == "distance":
+            labels = [f"{i},{j}" for j in range(2, size + 1) for i in range(1, j)]
+            if rng.random() < 0.2:
+                labels = rng.sample(labels + ["1,1", "0,2", "a", "2,1"], rng.randint(0, 4))
+            body = ", ".join(f'"{label}": {value()}' for label in labels)
+            return f'{{"n": {n}, "r": {{{body}}}}}'
+        width = rng.randint(1, 3) if kind == "points" else size
+        rows = ["[" + ", ".join(value() for _ in range(width)) + "]" for _ in range(size)]
+        if kind == "points":
+            return f'{{"n": {n}, "d": {width}, "points": [{", ".join(rows)}]}}'
+        return f'{{"n": {n}, "entries": [{", ".join(rows)}]}}'
+
+    def _file(self, rng, tmp_path, kind):
+        path = tmp_path / f"doc{rng.randrange(10**9)}.json"
+        text = self._doc(rng, kind) if rng.random() < 0.9 else rng.choice(["", "{", "[]", "null"])
+        path.write_text(text)
+        return str(path)
+
+    def _argv(self, rng, tmp_path):
+        pick = lambda pools: self._pick(rng, pools)
+        tokens = lambda: ",".join(pick(self.TOKENS) for _ in range(rng.choice([1, 3, 3, 6])))
+        verb = rng.choice(["build", "det", "check", "embed", "factor", "verify"])
+        argv = [verb]
+        if verb in ("build", "det"):
+            kind = rng.choice(["edm", "cm", "redm", "nbody", "w", "bogus"])
+            argv.append(kind)
+            if rng.random() < 0.6:
+                argv += ["--alpha", tokens()]
+            if rng.random() < 0.5:
+                argv += ["--k", pick(self.INTS)]
+            for flag in ("--s", "--t"):
+                if kind == "w" and rng.random() < 0.8:
+                    argv += [flag, self._file(rng, tmp_path, "table")]
+        if verb in ("build", "det", "check", "embed"):
+            source = rng.choice(["--r", "--r", "--input", "--points", None])
+            if source == "--r":
+                argv += ["--r", tokens()]
+            elif source is not None:
+                kind = "distance" if source == "--input" else "points"
+                argv += [source, self._file(rng, tmp_path, kind)]
+        if verb == "factor":
+            argv += ["--n", pick(self.INTS), "--family", pick((["nbody", "w"], ["z"]))]
+            if rng.random() < 0.5:
+                argv.append("--equal-masses")
+        if verb == "verify":
+            argv.append(pick((list(SUITES), ["nope"])))
+            argv += ["--n", pick((["2", "3", "4"], ["-1", "0", "1", "2.5", "x"]))]
+            argv += ["--samples", pick((["0", "1", "2"], ["-1", "1.5", "x", ""]))]
+            argv += ["--seed", pick((["0", "7", "-5"], ["x"]))]
+        if rng.random() < 0.5:
+            argv += ["--mode", pick((["exact", "numeric"], ["float"]))]
+        if rng.random() < 0.4:
+            argv += ["--tol", pick(self.TOLS)]
+        if rng.random() < 0.1:
+            argv += ["--out", str(tmp_path / pick((["o.txt"], ["missing/o.txt"])))]
+        return argv
+
+    def test_random_inputs_end_in_an_exit_code(self, capsys, tmp_path):
+        rng = random.Random(20)
+        for _ in range(400):
+            argv = self._argv(rng, tmp_path)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in range(5), argv
+            assert "Traceback" not in err, argv

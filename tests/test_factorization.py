@@ -22,8 +22,10 @@ from distgeom import (
     symbolic_nbody_det,
     w_matches_minus_nbody,
 )
-from distgeom import sampling
+from distgeom import polys, sampling
+from distgeom.core import VerificationError
 from distgeom.factorization import (
+    _certified_split,
     distance_table,
     mass_distance_table,
     pair_table,
@@ -163,6 +165,117 @@ class TestFactorNBody:
         assert doc["quotient"] == "1"
         assert doc["verified"] is True
         assert len(doc["factors"]) == 2
+
+
+def _random_terms(rng, nvars, size, max_exp, max_coeff):
+    terms = {}
+    while len(terms) < size:
+        exp = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        terms[exp] = rng.choice([-1, 1]) * rng.randint(1, max_coeff)
+    return terms
+
+
+@pytest.fixture(scope="module")
+def packed_case():
+    """An integer lhs = f1 * f2 * q above the packed route's size test:
+    f1 has one term, f2 has 40."""
+    table = VarTable(["w", "x", "y", "z"])
+    rng = random.Random(2024)
+    f1 = SparsePoly(table, {(2, 0, 1, 0): -3})
+    f2 = SparsePoly(table, _random_terms(rng, 4, 40, 4, 9))
+    q = SparsePoly(table, _random_terms(rng, 4, 1000, 25, 99))
+    lhs = f1 * f2 * q
+    assert len(lhs.terms) >= polys._INT64_MIN_TERMS
+    return lhs, f1, f2, q
+
+
+def _split(lhs, factors):
+    try:
+        return _certified_split("test", 0, lhs, factors)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def _both_paths(monkeypatch, lhs, factors):
+    """The certificate or error text on the packed route and on the dict
+    path, and the number of int64 accumulate calls the packed route made."""
+    calls = []
+    step = polys._Int64Layout.accumulate
+    monkeypatch.setattr(
+        polys._Int64Layout, "accumulate", staticmethod(lambda p: calls.append(1) or step(p))
+    )
+    packed, count = _split(lhs, factors), len(calls)
+    monkeypatch.setattr(polys, "_INT64_MIN_TERMS", float("inf"))
+    return packed, _split(lhs, factors), count
+
+
+class TestPackedCertificate:
+    """A large integer certificate stays on int64 arrays from lhs to the
+    re-multiplication; today's dict path is the reference."""
+
+    def test_same_certificate_on_both_paths(self, monkeypatch, packed_case):
+        lhs, f1, f2, q = packed_case
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
+        assert calls == 1
+        assert packed == plain
+        assert packed.quotient.terms == q.terms
+        assert {type(c) for c in packed.quotient.terms.values()} == {int}
+        assert packed.to_json_dict() == plain.to_json_dict()
+
+    @pytest.mark.parametrize("bad", ["monomial", "monomial-past-degree", "multi-term"])
+    def test_non_dividing_factor_has_the_same_error(self, monkeypatch, packed_case, bad):
+        lhs, f1, f2, _ = packed_case
+        table = lhs.table
+        if bad == "monomial":
+            factors = [SparsePoly(table, {(0, 0, 0, 1): 1}), f2]
+        elif bad == "monomial-past-degree":
+            factors = [SparsePoly(table, {(0, 0, 0, 40): 1}), f2]
+        else:
+            factors = [f1, f2 + 1]
+        packed, plain, _ = _both_paths(monkeypatch, lhs, factors)
+        assert packed == plain
+        assert packed.startswith("test: factor ") and packed.endswith("does not divide exactly")
+
+    def test_failed_comparison_has_the_same_error(self, monkeypatch, packed_case):
+        lhs, f1, f2, _ = packed_case
+        divide = polys._heap_divide
+
+        def off_by_one(remainder, den_terms, guard):
+            last = len(den_terms) > 1  # f2, the last factor
+            quotient = divide(remainder, den_terms, guard)
+            if last:
+                quotient[max(quotient)] += 1
+            return quotient
+
+        monkeypatch.setattr(polys, "_heap_divide", off_by_one)
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
+        assert calls == 1
+        assert packed == plain == "test: re-multiplication check failed"
+
+    def test_one_term_coefficient_that_does_not_divide(self, monkeypatch, packed_case):
+        # The quotient needs Fractions: the dict path takes over at that
+        # factor, and the re-multiplication of a Fraction quotient too.
+        lhs, f1, f2, q = packed_case
+        f7 = SparsePoly(lhs.table, {(2, 0, 1, 0): 7})
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f7, f2])
+        assert calls == 0
+        assert packed == plain
+        assert packed.quotient == q.scale(Fraction(-3, 7))
+
+    @pytest.mark.parametrize("bound", ["key", "coefficient"])
+    def test_bound_past_int64_takes_the_dict_path(self, monkeypatch, packed_case, bound):
+        lhs, f1, f2, q = packed_case
+        if bound == "key":
+            # w -> w^k is a ring map; the radix product passes 2^63.
+            k = 2**50
+            image = lambda p: SparsePoly(p.table, {(k * e[0],) + e[1:]: c for e, c in p.terms.items()})
+            lhs, f1, f2, q = map(image, (lhs, f1, f2, q))
+        else:
+            lhs, f1, q = lhs.scale(2**62), f1.scale(2**31), q.scale(2**31)
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
+        assert calls == 0
+        assert packed == plain
+        assert packed.quotient == q
 
 
 class TestFactorW:

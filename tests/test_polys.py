@@ -235,6 +235,14 @@ class TestExactDivide:
         assert type(q.terms[(1, 0)]) is Fraction
         assert type(q.terms[(0, 0)]) is int
 
+    def test_unit_leading_coefficient_quotient_types(self):
+        # 7/3 - 1/3 leaves Fraction(2, 1) in the remainder: it must come
+        # back as the int 2.
+        x, y = self.x, self.y
+        q = exact_divide((x.scale(Fraction(1, 3)) + y.scale(2)) * (x + y), x + y)
+        assert q.terms == {(1, 0): Fraction(1, 3), (0, 1): 2}
+        assert type(q.terms[(0, 1)]) is int
+
 
 class TestPolyDet:
     def test_methods_agree_on_random_matrices(self):
@@ -420,7 +428,7 @@ def _int64_calls(monkeypatch) -> list:
 
 def _dict_step_only(monkeypatch):
     monkeypatch.setattr(polys, "_INT64_MIN_ROWS", float("inf"))
-    monkeypatch.setattr(polys, "_INT64_MIN_PRODUCTS", float("inf"))
+    monkeypatch.setattr(polys, "_INT64_MIN_TERMS", float("inf"))
 
 
 def _int_matrix(seed: int, m: int):
@@ -446,7 +454,15 @@ class TestInt64Accumulate:
         assert fast.terms == poly_det(rows).terms
         assert {type(c) for c in fast.terms.values()} == {int}
 
+    def test_zero_variable_determinant(self, monkeypatch):
+        rows = [[(i + 1) * (j + 2) % 7 + (i == j) for j in range(8)] for i in range(8)]
+        calls = _int64_calls(monkeypatch)
+        assert poly_det(rows).terms == {(): exact.det(rows)}
+        assert calls
+
     def test_large_products_match_the_dict_step(self, monkeypatch):
+        # A certificate's re-multiplication is the int64 step's one large
+        # product: here 420 x 380 terms, against lhs from the dict step.
         table = VarTable(["w", "x", "y", "z"])
         rng = random.Random(31)
         factors = []
@@ -457,13 +473,16 @@ class TestInt64Accumulate:
                 terms[exp] = rng.choice([-1, 1]) * rng.randint(1, 10**6)
             factors.append(SparsePoly(table, terms))
         p, q = factors
-        assert len(p.terms) * len(q.terms) >= polys._INT64_MIN_PRODUCTS
+        lhs = p * q
+        assert len(lhs.terms) >= polys._INT64_MIN_TERMS
         calls = _int64_calls(monkeypatch)
-        fast = p * q
-        assert calls == [1]
+        quotient, failed = polys.divide_out(lhs, [p])
+        assert failed is None and calls == [1]
+        assert quotient.terms == q.terms
+        assert {type(c) for c in quotient.terms.values()} == {int}
         _dict_step_only(monkeypatch)
-        assert fast.terms == (p * q).terms
-        assert {type(c) for c in fast.terms.values()} == {int}
+        assert polys.divide_out(lhs, [p]) == (quotient, None)
+        assert calls == [1]
 
     # Each matrix is a ring image of one the int64 step takes, so its
     # determinant is known; none may reach the int64 step.
@@ -492,12 +511,14 @@ class TestInt64Accumulate:
 
     def test_large_product_with_a_fraction_falls_back(self, monkeypatch):
         table = VarTable(["x", "y"])
-        p = SparsePoly(table, {(i, j): 1 for i in range(20) for j in range(20)})
-        q = SparsePoly(table, {(i, j): i - j for i in range(19) for j in range(19)})
-        q = q + SparsePoly(table, {(19, 19): Fraction(1, 3)})
-        assert len(p.terms) * len(q.terms) >= polys._INT64_MIN_PRODUCTS
+        p = SparsePoly(table, {(i, j): 1 for i in range(2) for j in range(2)})
+        q = SparsePoly(table, {(i, j): i - j for i in range(190) for j in range(190)})
+        q = q + SparsePoly(table, {(0, 0): Fraction(1, 3)})
         calls = _int64_calls(monkeypatch)
-        assert (p * q).terms == _oracle_mul(p.terms, q.terms)
+        lhs = p * q
+        assert lhs.terms == _oracle_mul(p.terms, q.terms)
+        assert len(lhs.terms) >= polys._INT64_MIN_TERMS
+        assert polys.divide_out(lhs, [p]) == (q, None)
         assert calls == []
 
 
