@@ -30,9 +30,9 @@ bounds read off the inputs prove no key or partial sum reaches 2^63:
 mixed-radix monomial keys (Kronecker substitution; von zur Gathen &
 Gerhard, "Modern Computer Algebra", 8.4), one stable sort, and
 `np.add.reduceat` over runs of equal keys.  `divide_out` keeps such a
-certificate packed from lhs to its re-multiplication: a one-term factor
-shifts keys, a longer one runs `exact_divide`'s heap loop on packed ints
-made from the int64 digits, and only the quotient is decoded.
+certificate packed from lhs to its re-multiplication: each division runs
+level by level on the arrays (`_divide_int64`), and only the quotient is
+decoded.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 class _Packing:
     """Conversion between exponent tuples and packed ints for one layout."""
 
-    __slots__ = ("guard", "_pack", "_unpack", "_size", "_slot")
+    __slots__ = ("guard", "_pack", "_unpack", "_size")
 
     def __init__(self, nvars: int, slot_bytes: int):
         code = _SLOT_CODES[slot_bytes]
@@ -112,18 +112,10 @@ class _Packing:
         self._pack = struct.Struct(f">{nvars + 1}{code}").pack
         self._unpack = struct.Struct(f">{slot_bytes}x{nvars}{code}").unpack
         self._size = slot_bytes * (nvars + 1)
-        self._slot = f">u{slot_bytes}"
 
     def pack(self, terms: dict) -> dict:
         pack, from_bytes = self._pack, int.from_bytes
         return {from_bytes(pack(sum(e), *e), "big"): c for e, c in terms.items()}
-
-    def pack_digits(self, digits, coeffs) -> dict:
-        """`pack` for exponent rows of an int64 array, row by row."""
-        slots = np.column_stack([digits.sum(1), digits]).astype(self._slot)
-        from_bytes = int.from_bytes
-        keys = [from_bytes(row, "big") for row in slots.view(f"V{self._size}").ravel().tolist()]
-        return dict(zip(keys, coeffs.tolist()))
 
     def unpack(self, terms: dict) -> dict:
         unpack, size = self._unpack, self._size
@@ -177,14 +169,14 @@ class _Int64Layout:
         self.places = np.array(places, dtype=np.int64)
         self.radices = np.array(radices, dtype=np.int64)
 
-    def pack(self, terms: dict):
+    def pack(self, terms: dict, exps=None):
         """(keys, coeffs) sorted by key, as `accumulate` returns them."""
-        keys = _exponents(terms, len(self.places)) @ self.places
+        keys = (_exponents(terms, len(self.places)) if exps is None else exps) @ self.places
         order = keys.argsort(kind="stable")
         return keys[order], np.array(list(terms.values()), dtype=np.int64)[order]
 
-    def digits(self, keys):
-        return keys[:, None] // self.places % self.radices
+    def digits(self, keys, used=slice(None)):
+        return keys[:, None] // self.places[used] % self.radices[used]
 
     def unpack(self, packed) -> dict:
         keys, coeffs = packed
@@ -195,19 +187,24 @@ class _Int64Layout:
     def accumulate(products):
         """Sum of sign * small * large over (small, large, sign) triples, as
         (keys, coeffs) sorted by key without zeros; None when it is zero."""
-        keys = np.concatenate([np.add.outer(a[0], b[0]).ravel() for a, b, _ in products])
-        coeffs = np.concatenate([np.multiply.outer(s * a[1], b[1]).ravel() for a, b, s in products])
-        # Each product is a sorted run of the large factor's keys per term
-        # of the small one: a stable sort merges the runs.
-        order = keys.argsort(kind="stable")
-        keys = keys[order]
-        first = np.empty(len(keys), dtype=bool)  # first of each run of equal keys
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        sums = np.add.reduceat(coeffs[order], starts)
-        keep = sums != 0
-        return (keys[starts[keep]], sums[keep]) if keep.any() else None
+        return _sum_runs(  # no local names: the unsorted arrays die in _sum_runs
+            np.concatenate([np.add.outer(a[0], b[0]).ravel() for a, b, _ in products]),
+            np.concatenate([np.multiply.outer(s * a[1], b[1]).ravel() for a, b, s in products]),
+        )
+
+
+def _sum_runs(keys, coeffs):
+    """(keys, coeffs) with equal keys summed and zeros dropped, None if all
+    cancel; the keys come as sorted runs, which a stable sort merges."""
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)  # first of each run of equal keys
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(coeffs[order], starts)
+    keep = sums != 0
+    return (keys[starts[keep]], sums[keep]) if keep.any() else None
 
 
 def _exponents(exps, nvars: int):
@@ -216,19 +213,22 @@ def _exponents(exps, nvars: int):
     return flat.reshape(len(exps), nvars)
 
 
-def _int64_layout(rows):
+def _int64_layout(rows, read=None):
     """The int64 layout for products of one polynomial from each row, or
-    None unless every coefficient is an int and both bounds stay below 2^63."""
+    None unless every coefficient is an int and both bounds stay below 2^63
+    (each row's exponent array goes to the list `read`, if given)."""
     nvars = len(rows[0][0].table)
     radices, coeff_bound = [1] * nvars, 1
     for row in rows:
         coeffs = [coeff for poly in row for coeff in poly.terms.values()]
-        if any(type(coeff) is not int for coeff in coeffs):
+        if not set(map(type, coeffs)) <= {int}:
             return None
         try:
             exps = _exponents([exp for poly in row for exp in poly.terms], nvars)
         except OverflowError:
             return None
+        if read is not None:
+            read.append(exps)
         radices = [radix + top for radix, top in zip(radices, exps.max(0, initial=0).tolist())]
         # Coefficients: every coefficient of a product over a subset R of
         # the rows, and every partial sum of its term products, is at most
@@ -571,35 +571,64 @@ def _heap_divide(remainder: dict, den_terms: dict, guard: int):
 
 
 def _divide_int64(layout: _Int64Layout, packed, factor: SparsePoly):
-    """packed / factor: int64 arrays after a one-term factor whose
-    coefficient divides every coefficient, else a polynomial, or None."""
-    if not factor.terms:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(factor.terms) != 1:
-        digits = layout.digits(packed[0])
-        packing = _packing(len(factor.table), max(int(digits.sum(1).max()), factor.degree()))
-        remainder = packing.pack_digits(digits, packed[1])
-        quotient = _heap_divide(remainder, packing.pack(factor.terms), packing.guard)
-        return None if quotient is None else SparsePoly._raw(factor.table, packing.unpack(quotient))
-    (exp, coeff), = factor.terms.items()
-    keys, coeffs = packed
-    radices = layout.radices.tolist()
-    if any(e >= r for e, r in zip(exp, radices)) or (layout.digits(keys) < exp).any():
-        return None
-    if type(coeff) is not int or abs(coeff) >= 1 << 63 or (coeffs % coeff).any():
-        return exact_divide(SparsePoly._raw(factor.table, layout.unpack(packed)), factor)
-    return keys - sum(e * p for e, p in zip(exp, layout.places.tolist())), coeffs // coeff
+    """packed / factor as int64 (keys, coeffs), None when factor does not
+    divide, or `exact_divide`'s answer when the arrays cannot carry it.
+
+    With c_L x^L F's grlex lead, weigh x^m by w(m) = L.m.  If L.L > L.k for
+    every other term x^k, c_L x^L is F's top w-form, so if lhs = F Q, the
+    top w-form of lhs - F Q_{>l} is c_L x^L Q_l.  So from the top level down,
+    each bucket of one w is summed and divided by c_L x^L; its products with
+    the other terms drop L.(L - k) >= 1 levels.  Levels fall, and the loop
+    ends unrejected exactly when lhs = F Q.  None: a digit out of L_v <= d_v
+    <= L_v + radix_v - 1 - deg_v F (Q meets it: deg_v Q = deg_v lhs - deg_v
+    F; it keeps key sums carry-free).  Dict path: Fractions, a lead failing
+    the test, c_L not dividing a sum, or max|lhs| + |F|_1 max|q| reaching
+    2^63 (it bounds each partial sum at a key: its terms have distinct k).
+    """
+    big, norm, q_max = int(abs(packed[1]).max()), sum(map(abs, factor.terms.values())), 0
+    dict_path = lambda: exact_divide(SparsePoly._raw(factor.table, layout.unpack(packed)), factor)
+    if set(map(type, factor.terms.values())) != {int} or big + norm >= 1 << 63:
+        return dict_path()  # also raises for a zero factor
+    degrees, radices = [max(column) for column in zip(*factor.terms)], layout.radices.tolist()
+    (lead, c_lead), places = factor.leading_term(), layout.places.tolist()
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    rest = [(dot(lead, lead) - dot(lead, k), dot(k, places), -c)
+            for k, c in factor.terms.items() if k != lead]
+    if any(drop < 1 for drop, _, _ in rest) or max([dot(lead, radices), *degrees]) >= 1 << 63:
+        return dict_path()  # a lead failing the test, or levels or degrees past int64
+    used = np.flatnonzero(degrees)  # any digit passes outside the factor's variables
+    low = np.array(lead, dtype=np.int64)[used]
+    room = layout.radices[used] - 1 - np.array(degrees, dtype=np.int64)[used]
+    levels = layout.digits(packed[0], used) @ low
+    buckets = {int(w): [tuple(a[levels == w] for a in packed)] for w in np.unique(levels)}
+    out = []
+    while buckets:
+        level = max(buckets)
+        if (summed := _sum_runs(*map(np.concatenate, zip(*buckets.pop(level))))) is None:
+            continue
+        if (((found := layout.digits(summed[0], used) - low) < 0) | (found > room)).any():
+            return None
+        q_keys, q = summed[0] - dot(lead, places), summed[1] // c_lead
+        q_max = max(q_max, int(abs(q).max()))
+        if (summed[1] % c_lead).any() or big + norm * q_max >= 1 << 63:
+            return dict_path()
+        out.append((q_keys, q))
+        for drop, key, coeff in rest:
+            buckets.setdefault(level - drop, []).append((q_keys + key, q * coeff))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def divide_out(lhs: SparsePoly, factors):
     """Divide lhs by each factor in turn and re-multiply their product
     once: (quotient, None) when that gives lhs back, else (None, k) for the
     first factor k that does not divide, or (None, len(factors)) when the
-    re-multiplication differs.  Large integer lhs: see the module docstring.
+    re-multiplication differs.  A large integer lhs is divided level by
+    level on int64 arrays (`_divide_int64`; see the module docstring).
     """
     product = math.prod(factors, start=SparsePoly.const(lhs.table, 1))
-    layout = _int64_layout([[lhs]]) if len(lhs.terms) >= _INT64_MIN_TERMS else None
-    packed = None if layout is None else layout.pack(lhs.terms)
+    read: list = []
+    layout = _int64_layout([[lhs]], read) if len(lhs.terms) >= _INT64_MIN_TERMS else None
+    packed = None if layout is None else layout.pack(lhs.terms, read.pop())
     current = lhs if packed is None else packed
     for k, factor in enumerate(factors):
         if isinstance(current, SparsePoly):

@@ -1,5 +1,6 @@
 """Symbolic determinant splits, sign conventions, and kernel witnesses."""
 
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -209,6 +210,15 @@ def _both_paths(monkeypatch, lhs, factors):
     return packed, _split(lhs, factors), count
 
 
+def _dict_path_calls(monkeypatch) -> list:
+    """Record each divisor `exact_divide` gets from inside `polys`."""
+    calls = []
+    exact_divide = polys.exact_divide
+    spy = lambda num, den: calls.append(den) or exact_divide(num, den)
+    monkeypatch.setattr(polys, "exact_divide", spy)
+    return calls
+
+
 class TestPackedCertificate:
     """A large integer certificate stays on int64 arrays from lhs to the
     re-multiplication; today's dict path is the reference."""
@@ -237,19 +247,32 @@ class TestPackedCertificate:
         assert packed.startswith("test: factor ") and packed.endswith("does not divide exactly")
 
     def test_failed_comparison_has_the_same_error(self, monkeypatch, packed_case):
+        # The last quotient gains 1 at its largest key: on the packed route
+        # in the int64 division's arrays, on the dict path in the heap loop's.
         lhs, f1, f2, _ = packed_case
-        divide = polys._heap_divide
+        divide, heap_divide, corrupted = polys._divide_int64, polys._heap_divide, []
 
-        def off_by_one(remainder, den_terms, guard):
-            last = len(den_terms) > 1  # f2, the last factor
-            quotient = divide(remainder, den_terms, guard)
-            if last:
-                quotient[max(quotient)] += 1
+        def int64_off_by_one(layout, packed, factor):
+            quotient = divide(layout, packed, factor)
+            if factor is f2:
+                keys, coeffs = quotient
+                coeffs[keys.argmax()] += 1
+                corrupted.append("int64")
             return quotient
 
-        monkeypatch.setattr(polys, "_heap_divide", off_by_one)
+        def heap_off_by_one(remainder, den_terms, guard):
+            last = len(den_terms) > 1  # f2, the last factor
+            quotient = heap_divide(remainder, den_terms, guard)
+            if last:
+                quotient[max(quotient)] += 1
+                corrupted.append("heap")
+            return quotient
+
+        monkeypatch.setattr(polys, "_divide_int64", int64_off_by_one)
+        monkeypatch.setattr(polys, "_heap_divide", heap_off_by_one)
         packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
         assert calls == 1
+        assert corrupted == ["int64", "heap"]
         assert packed == plain == "test: re-multiplication check failed"
 
     def test_one_term_coefficient_that_does_not_divide(self, monkeypatch, packed_case):
@@ -276,6 +299,124 @@ class TestPackedCertificate:
         assert calls == 0
         assert packed == plain
         assert packed.quotient == q
+
+
+class TestLevelDivision:
+    """The int64 division of the packed route, level by level: every shipped
+    factor takes it, and each way out agrees with the dict path."""
+
+    def test_goldens_through_the_packed_route(self, monkeypatch):
+        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
+        handed = _dict_path_calls(monkeypatch)
+        divide, divided = polys._divide_int64, []
+        monkeypatch.setattr(
+            polys, "_divide_int64", lambda *args: divided.append(1) or divide(*args)
+        )
+        for cert, golden in [
+            (factor_nbody(2), "sigma_n2.txt"),
+            (factor_nbody(3), "sigma_n3.txt"),
+            (factor_nbody(4), "sigma_n4.txt"),
+            (factor_w(2), "z_n2.txt"),
+            (factor_w(3), "z_n3.txt"),
+        ]:
+            assert cert.verified
+            assert cert.quotient.to_text() == _golden(golden)
+            assert {type(c) for c in cert.quotient.terms.values()} == {int}
+        equal = factor_nbody(3, equal_masses=True)
+        assert len(divided) == 12 and handed == []
+        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", float("inf"))
+        assert equal == factor_nbody(3, equal_masses=True)
+
+    def test_lead_failing_the_weight_test_takes_the_dict_path(self, monkeypatch):
+        # Lead x*y: L.L = 2 = L.(y^2), so x*y is not the whole top form.
+        table = VarTable(["x", "y"])
+        rng = random.Random(211)
+        x, y = (SparsePoly.variable(table, v) for v in table.names)
+        factor = x * y + y**2
+        q = SparsePoly(table, _random_terms(rng, 2, 40, 9, 50))
+        handed = _dict_path_calls(monkeypatch)
+        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
+        packed, plain, _ = _both_paths(monkeypatch, factor * q, [factor])
+        assert len(handed) == 2  # the packed route's, then the dict path's own
+        assert packed == plain
+        assert packed.quotient == q
+
+    def test_multi_term_lead_coefficient_that_does_not_divide(self, monkeypatch):
+        # Coefficients 1..6 of q: 7 * c_L divides no bucket, so the first
+        # level hands the factor to the dict path, and q / 7 needs Fractions.
+        table = VarTable(["x", "y", "z"])
+        rng = random.Random(212)
+        f = SparsePoly(table, _random_terms(rng, 3, 12, 3, 9))
+        q = SparsePoly(table, {e: abs(c) % 6 + 1 for e, c in _random_terms(rng, 3, 60, 6, 9).items()})
+        handed = _dict_path_calls(monkeypatch)
+        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
+        packed, plain, _ = _both_paths(monkeypatch, f * q, [f.scale(7)])
+        assert len(handed) == 2  # the packed route's, then the dict path's own
+        assert packed == plain
+        assert packed.quotient == q.scale(Fraction(1, 7))
+
+    def test_partial_quotient_past_the_degree_limit(self, monkeypatch):
+        # F = x + y, lhs = F q + x^11 y^11 with q's degrees at most 10: the
+        # top level's digit y^11 passes radix_y - 1 - deg_y F = 10.
+        table = VarTable(["x", "y"])
+        rng = random.Random(213)
+        x, y = (SparsePoly.variable(table, v) for v in table.names)
+        q = SparsePoly(table, _random_terms(rng, 2, 50, 10, 50))
+        lhs = (x + y) * q + x**11 * y**11
+        handed = _dict_path_calls(monkeypatch)
+        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
+        packed, plain, _ = _both_paths(monkeypatch, lhs, [x + y])
+        assert handed == [x + y]  # only the dict path's own call
+        assert packed == plain == "test: factor '1 * x + 1 * y' does not divide exactly"
+
+    def test_coefficient_bound_past_int64_takes_the_dict_path(self, monkeypatch):
+        # lhs = 3 * 2^60 (x^5 - y^5) has 1-norm 1.5 * 2^62, so its own layout
+        # fits; max|lhs| + |F|_1 max|q| = 9 * 2^60 passes 2^63 at level one.
+        table = VarTable(["x", "y"])
+        x, y = (SparsePoly.variable(table, v) for v in table.names)
+        factor = 3 * x - 3 * y
+        q = sum((x**i * y ** (4 - i) for i in range(5)), SparsePoly.zero(table)).scale(2**60)
+        lhs = factor * q
+        assert polys._int64_layout([[lhs]]) is not None
+        handed = _dict_path_calls(monkeypatch)
+        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
+        packed, plain, _ = _both_paths(monkeypatch, lhs, [factor])
+        assert len(handed) == 2  # the packed route's, then the dict path's own
+        assert packed == plain
+        assert packed.quotient == q
+
+    def test_random_divisions_match_the_dict_path(self, monkeypatch):
+        # Exact, non-dividing, and Fraction quotients (f / 2 f), some past
+        # the first level; a few leads fail the weight test.
+        rng = random.Random(214)
+        table = VarTable(["x", "y", "z"])
+        for _ in range(40):
+            f = SparsePoly(table, _random_terms(rng, 3, rng.randint(1, 8), 4, 9))
+            q = SparsePoly(table, _random_terms(rng, 3, 25, 5, 20))
+            for lhs, factor in [(f * q, f), (f * q + 1, f), (f * q, f.scale(2))]:
+                monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
+                packed, plain, _ = _both_paths(monkeypatch, lhs, [factor])
+                assert packed == plain
+
+
+@pytest.mark.skipif(
+    os.environ.get("DISTGEOM_LONG_TESTS") != "1", reason="set DISTGEOM_LONG_TESTS=1 to run"
+)
+def test_generic_five_body_certificate():
+    """factor_nbody(5) with generic masses: the full certificate, and sigma
+    against `nbody_sigma_value` (the Bareiss kernel, no shared expansion
+    code) at 3 seeded rational points.  About 20 s and a peak RSS of
+    1.45 GB on a 2-core x86-64 box (Python 3.11, numpy 2.4)."""
+    cert = factor_nbody(5, long_running=True)
+    assert cert.verified
+    assert len(cert.quotient.terms) == 34680
+    rng = random.Random(55)
+    for _ in range(3):
+        r = distances(sampling.random_nonsingular_configuration(rng, 5, 4))
+        alpha = sampling.random_positive_alpha(rng, 5)
+        point = {f"a_{i + 1}": a for i, a in enumerate(alpha)}
+        point.update({f"r_{i + 1}_{j + 1}": r.sq(i, j) for i in range(5) for j in range(i + 1, 5)})
+        assert cert.quotient.evaluate(point) == nbody_sigma_value(alpha, r)
 
 
 class TestFactorW:
