@@ -29,10 +29,11 @@ whose lhs has 2^15 or more terms -- runs on int64 arrays instead when
 bounds read off the inputs prove no key or partial sum reaches 2^63:
 mixed-radix monomial keys (Kronecker substitution; von zur Gathen &
 Gerhard, "Modern Computer Algebra", 8.4), one stable sort, and
-`np.add.reduceat` over runs of equal keys.  `divide_out` keeps such a
-certificate packed from lhs to its re-multiplication: each division runs
-level by level on the arrays (`_divide_int64`), and only the quotient is
-decoded.
+`np.add.reduceat` over runs of equal keys.  A determinant first builds
+its levels of minors as dense tables by scatter-adds (`_dense_level`).
+`divide_out` keeps such a certificate packed from lhs to its
+re-multiplication: each division runs level by level on the arrays
+(`_divide_int64`), and only the quotient is decoded.
 """
 
 from __future__ import annotations
@@ -679,24 +680,65 @@ def _normalize_symbolic(rows):
     return out, table
 
 
+_DENSE_CELLS = 1 << 22  # cells of one dense level of the minors (32 MB)
+_DENSE_CHUNK = 1 << 17  # cells of one scatter's temporaries
+
+
+def _dense_level(level, nonzero, r):
+    """Minors over rows 0..r as a dense (masks, universe, table), or those
+    of `level` as {mask: (keys, coeffs)} if no table follows or it would
+    pass `_DENSE_CELLS`.  Table row i holds the minor on masks[i] at the
+    sorted keys U_r (U_0 = {0}, U_{r+1} = U_r + row r's keys).  Term (t, c)
+    of entry j adds c * sign * T[mask] at row mask | bit j, columns
+    searchsorted(U_{r+1}, U_r + t); `np.add.at` sums repeated cells.  Each
+    cell is a partial sum of signed term products of one minor, and each
+    key one of its keys, so `_int64_layout`'s bounds hold for both.
+    """
+    masks, universe, table = level
+    steps = np.unique(np.concatenate([universe[:0], *(keys for _, (keys, _) in nonzero)]))
+    grown = np.sort(np.add.outer(steps, universe), None, kind="stable")  # merges sorted runs
+    grown = grown[np.diff(grown, prepend=-1) != 0]  # keys are nonnegative
+    targets = sorted({m | 1 << j for m in masks for j, _ in nonzero if not m >> j & 1})
+    if not targets or len(targets) * len(grown) > _DENSE_CELLS:
+        return {m: (universe[nz], row[nz]) for m, row, nz in zip(masks, table, table != 0)}
+    cells = {t: np.searchsorted(grown, universe + t) for t in steps.tolist()}
+    index = {m: i * len(grown) for i, m in enumerate(targets)}
+    out, chunk = np.zeros((len(targets), len(grown)), np.int64), 1 + _DENSE_CHUNK // len(universe)
+    for j, (keys, coeffs) in nonzero:
+        src = [i for i, m in enumerate(masks) if not m >> j & 1]
+        for lo in range(0, len(src), chunk):
+            part = src[lo:lo + chunk]
+            signs = [((masks[i] & ((1 << j) - 1)).bit_count() + r) & 1 for i in part]
+            minors = table[part] * (1 - 2 * np.array(signs))[:, None]
+            base = np.array([index[masks[i] | 1 << j] for i in part])[:, None]
+            for t, c in zip(keys.tolist(), coeffs.tolist()):
+                np.add.at(out.reshape(-1), (base + cells[t]).ravel(), (c * minors).ravel())
+    if not (keep := out.any(1)).all():  # drop vanishing minors, copying only then
+        targets, out = [m for m, k in zip(targets, keep.tolist()) if k], out[keep]
+    return targets, grown, out
+
+
 def _det_minors(rows, table: VarTable) -> SparsePoly:
     # Laplace expansion row by row, memoizing minors on column subsets
     # (bitmask-keyed), so each column-subset minor is computed once and
     # every multiplication pairs a small entry with one growing minor.
-    # Each level gathers the (entry, minor, sign) products of every new
-    # minor for one accumulate step: int64 arrays for a large integer
-    # matrix whose bounds fit, packed dicts otherwise.  Every minor's degree
-    # is at most the sum of its rows' largest entry degrees, which sizes
-    # the packed slots.
+    # A large integer matrix whose int64 bounds fit runs on dense tables up
+    # to the cell budget (`_dense_level`).  After that, or without int64,
+    # each level sums the (entry, minor, sign) products of every new minor
+    # in one accumulate step.  Every minor's degree is at most the sum of
+    # its rows' largest entry degrees, which sizes the packed slots.
     n = len(rows)
     layout = _int64_layout(rows) if n >= _INT64_MIN_ROWS else None
     if layout is None:
         bound = sum(max(0, *(entry.degree() for entry in row)) for row in rows)
         layout = _packing(len(table), bound)
-    level: dict = {0: layout.pack({(0,) * len(table): 1})}
+        level = {0: layout.pack({(0,) * len(table): 1})}
+    else:
+        level = ([0], np.zeros(1, np.int64), np.ones((1, 1), np.int64))
     for r in range(n):
-        row = rows[r]
-        nonzero = [(j, layout.pack(row[j].terms)) for j in range(n) if row[j].terms]
+        nonzero = [(j, layout.pack(entry.terms)) for j, entry in enumerate(rows[r]) if entry.terms]
+        if type(level) is tuple and type(level := _dense_level(level, nonzero, r)) is tuple:
+            continue
         products: dict = {}
         for mask, minor in level.items():
             if not minor:
@@ -709,6 +751,8 @@ def _det_minors(rows, table: VarTable) -> SparsePoly:
                 products.setdefault(mask | bit, []).append((entry, minor, sign))
         level = {mask: layout.accumulate(triples) for mask, triples in products.items()}
         del products  # frees the previous level's minors before the next level
+    if type(level) is tuple:  # the dense phase ran to the last row
+        level = _dense_level(level, [], n)
     minor = level.get((1 << n) - 1)
     return SparsePoly._raw(table, layout.unpack(minor) if minor else {})
 
@@ -718,9 +762,9 @@ def poly_det(matrix) -> SparsePoly:
 
     Memoized Laplace expansion: it multiplies small entries into growing
     minors instead of multiplying two large intermediate polynomials.  The
-    expansion packs every entry once and keeps all minors as
-    packed-monomial dicts (see the module docstring); the result comes
-    back with exponent tuples like every other polynomial.
+    expansion packs every entry once and keeps the minors packed: dense
+    int64 tables, int64 arrays or packed-monomial dicts (see the module
+    docstring); the result comes back with exponent tuples.
     """
     rows = _entry_rows(matrix)
     n = len(rows)

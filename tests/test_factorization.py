@@ -405,8 +405,8 @@ class TestLevelDivision:
 def test_generic_five_body_certificate():
     """factor_nbody(5) with generic masses: the full certificate, and sigma
     against `nbody_sigma_value` (the Bareiss kernel, no shared expansion
-    code) at 3 seeded rational points.  About 20 s and a peak RSS of
-    1.45 GB on a 2-core x86-64 box (Python 3.11, numpy 2.4)."""
+    code) at 3 seeded rational points.  About 22 s and a peak RSS of
+    1.48 GB on a 2-core x86-64 box (Python 3.11, numpy 2.4)."""
     cert = factor_nbody(5, long_running=True)
     assert cert.verified
     assert len(cert.quotient.terms) == 34680

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from distgeom import exact, polys
+from distgeom.factorization import symbolic_nbody_det
 from distgeom.polys import SparsePoly, VarTable, exact_divide, poly_det, variables
 
 
@@ -418,11 +419,13 @@ class TestPackedKernelEdges:
 
 
 def _int64_calls(monkeypatch) -> list:
-    """Record each call of the int64 accumulate step."""
+    """Record each call of an int64 step: the sorted accumulate step as its
+    product count, a dense level of the minors expansion as "dense"."""
     calls = []
-    step = polys._Int64Layout.accumulate
+    step, dense = polys._Int64Layout.accumulate, polys._dense_level
     spy = lambda products: calls.append(len(products)) or step(products)
     monkeypatch.setattr(polys._Int64Layout, "accumulate", staticmethod(spy))
+    monkeypatch.setattr(polys, "_dense_level", lambda *args: calls.append("dense") or dense(*args))
     return calls
 
 
@@ -520,6 +523,103 @@ class TestInt64Accumulate:
         assert len(lhs.terms) >= polys._INT64_MIN_TERMS
         assert polys.divide_out(lhs, [p]) == (q, None)
         assert calls == []
+
+
+def _poly_matrix(seed: int, m: int, names=("x", "y", "z"), density=1.0):
+    """Entries of up to two terms of degree up to 1 in each variable, each
+    zero with probability 1 - density."""
+    table = VarTable(list(names))
+    rng = random.Random(seed)
+    return [
+        [
+            _random_poly(rng, table, max_terms=2, max_exp=1) if rng.random() < density else 0
+            for _ in range(m)
+        ]
+        for _ in range(m)
+    ]
+
+
+def _dict_det(monkeypatch, rows) -> dict:
+    with monkeypatch.context() as patch:
+        _dict_step_only(patch)
+        return poly_det(rows).terms
+
+
+class TestDenseMinors:
+    """The dense first phase of the int64 minors expansion and its handoff
+    to the sorted accumulate step; the dict step is the reference."""
+
+    def test_seeded_matrices_match_the_dict_step(self, monkeypatch):
+        # Non-homogeneous entries over three and four variables, with some
+        # zero entries: a wrong Laplace sign changes the terms.
+        nonzero, calls = 0, _int64_calls(monkeypatch)
+        for seed in range(64):
+            m, names = 8 + seed % 3, ("w", "x", "y", "z")[seed % 2:]
+            rows = _poly_matrix(100 + seed, m, names, density=0.6)
+            calls.clear()
+            fast = poly_det(rows).terms
+            assert "dense" in calls, seed
+            assert fast == _dict_det(monkeypatch, rows), seed
+            nonzero += bool(fast)
+        assert nonzero >= 40
+
+    def test_handoff_at_every_level(self, monkeypatch):
+        m = 9
+        rows = _poly_matrix(7, m)
+        expected = _dict_det(monkeypatch, rows)
+        assert len(expected) > 100
+        dense, budget, seen = polys._dense_level, polys._DENSE_CELLS, []
+
+        def spy(minors, nonzero, r):  # hands off at r == level
+            polys._DENSE_CELLS = -1 if r == level else budget
+            seen.append(type(out := dense(minors, nonzero, r)))
+            return out
+
+        monkeypatch.setattr(polys, "_DENSE_CELLS", budget)
+        monkeypatch.setattr(polys, "_dense_level", spy)
+        calls = _int64_calls(monkeypatch)
+        for level in range(m + 1):
+            seen.clear()
+            calls.clear()
+            assert poly_det(rows).terms == expected, level
+            assert seen == [tuple] * level + [dict], level
+            assert calls.count("dense") == level + 1  # the sorted step takes the rest
+            assert len(calls) > level + 1 or level == m, level
+
+    def test_zero_rows_and_vanishing_minors(self, monkeypatch):
+        table = VarTable(["x", "y", "z"])
+        x, y, z = variables(table)
+        calls = _int64_calls(monkeypatch)
+        for k in (0, 4, 7):
+            rows = _poly_matrix(50 + k, 8)
+            rows[k] = [SparsePoly.zero(table)] * 8
+            calls.clear()
+            assert poly_det(rows).is_zero() and "dense" in calls
+        # Rows 0 and 1 agree up to x + y on columns 0-2, so each minor of
+        # theirs inside those columns vanishes; the determinant does not.
+        rows = _poly_matrix(60, 8)
+        rows[0][:3] = [x + 1, y - 2 * z, 3 * x * z - y]
+        rows[1][:3] = [(x + y) * e for e in rows[0][:3]]
+        levels = []
+        dense = polys._dense_level
+        monkeypatch.setattr(
+            polys, "_dense_level", lambda *args: levels.append(out := dense(*args)) or out
+        )
+        fast = poly_det(rows)
+        assert fast.terms == _dict_det(monkeypatch, rows) and not fast.is_zero()
+        masks = levels[1][0]
+        assert not {0b011, 0b101, 0b110} & set(masks) and 0b1001 in masks
+        # Two equal columns: every full minor vanishes.
+        rows = _poly_matrix(61, 8)
+        for row in rows:
+            row[5] = row[2]
+        assert poly_det(rows).is_zero()
+
+    def test_equal_mass_five_body_matrix_stays_dense(self, monkeypatch):
+        calls = _int64_calls(monkeypatch)
+        det = symbolic_nbody_det(5, equal_masses=True, long_running=True)
+        assert len(det.terms) == 64063
+        assert calls == ["dense"] * 11  # ten rows, then the full minor
 
 
 class TestTextRoundtrip:
