@@ -30,8 +30,9 @@ bounds read off the inputs prove no key or partial sum reaches 2^63:
 mixed-radix monomial keys (Kronecker substitution; von zur Gathen &
 Gerhard, "Modern Computer Algebra", 8.4), one stable sort, and
 `np.add.reduceat` over runs of equal keys.  A determinant first builds
-its levels of minors as dense tables by scatter-adds (`_dense_level`).
-`divide_out` keeps such a certificate packed from lhs to its
+its levels of minors as dense tables by scatter-adds (`_dense_level`),
+and comes back packed (`_PackedPoly`, decoded only when read).
+`divide_out` keeps such a certificate packed from det B to its
 re-multiplication: each division runs level by level on the arrays
 (`_divide_int64`), and only the quotient is decoded.
 """
@@ -499,6 +500,24 @@ class SparsePoly:
         return f"SparsePoly({self.to_text()!r})"
 
 
+class _PackedPoly(SparsePoly):
+    """A SparsePoly held as int64 (keys, coeffs) sorted by key in `layout`,
+    which `divide_out` reads; `terms` is decoded on first access and then
+    cached, so every public behaviour is a SparsePoly's."""
+
+    __slots__ = ("layout", "packed")
+
+    def __init__(self, table: VarTable, layout: _Int64Layout, packed):
+        self.table, self.layout, self.packed = table, layout, packed
+
+    def __getattr__(self, name):
+        # Reached only for a missing attribute: `terms` before its first read.
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = self.layout.unpack(self.packed)
+        return self.terms
+
+
 def variables(table: VarTable) -> list[SparsePoly]:
     return [SparsePoly.variable(table, name) for name in table.names]
 
@@ -585,6 +604,8 @@ def _divide_int64(layout: _Int64Layout, packed, factor: SparsePoly):
     F; it keeps key sums carry-free).  Dict path: Fractions, a lead failing
     the test, c_L not dividing a sum, or max|lhs| + |F|_1 max|q| reaching
     2^63 (it bounds each partial sum at a key: its terms have distinct k).
+    Any layout whose radices bound lhs's digits serves, such as det B's
+    rows-based one: the room test alone keeps Q's key sums carry-free.
     """
     big, norm, q_max = int(abs(packed[1]).max()), sum(map(abs, factor.terms.values())), 0
     dict_path = lambda: exact_divide(SparsePoly._raw(factor.table, layout.unpack(packed)), factor)
@@ -623,28 +644,37 @@ def divide_out(lhs: SparsePoly, factors):
     """Divide lhs by each factor in turn and re-multiply their product
     once: (quotient, None) when that gives lhs back, else (None, k) for the
     first factor k that does not divide, or (None, len(factors)) when the
-    re-multiplication differs.  A large integer lhs is divided level by
-    level on int64 arrays (`_divide_int64`; see the module docstring).
+    re-multiplication differs.
+
+    A large integer lhs (an int64 determinant, or 2^15 or more terms packed
+    here once) is divided level by level in its own int64 layout, and only
+    the quotient Q is decoded.  The product P is re-multiplied in that
+    layout when, for every v, max deg_v P + max deg_v Q < radix_v (no digit
+    carries) and |P|_1 |Q|_1 < 2^63 (it bounds every partial sum).
     """
     product = math.prod(factors, start=SparsePoly.const(lhs.table, 1))
-    read: list = []
-    layout = _int64_layout([[lhs]], read) if len(lhs.terms) >= _INT64_MIN_TERMS else None
-    packed = None if layout is None else layout.pack(lhs.terms, read.pop())
-    current = lhs if packed is None else packed
+    if not isinstance(lhs, _PackedPoly) and len(lhs.terms) >= _INT64_MIN_TERMS:
+        if (layout := _int64_layout([[lhs]], read := [])) is not None:
+            lhs = _PackedPoly(lhs.table, layout, layout.pack(lhs.terms, read.pop()))
+    current = lhs.packed if isinstance(lhs, _PackedPoly) else lhs
     for k, factor in enumerate(factors):
         if isinstance(current, SparsePoly):
             current = exact_divide(current, factor)
         else:
-            current = _divide_int64(layout, current, factor)
+            current = _divide_int64(lhs.layout, current, factor)
         if current is None:
             return None, k
+    same = None
     if not isinstance(current, SparsePoly):
-        current = SparsePoly._raw(lhs.table, layout.unpack(current))
-    check = layout and _int64_layout([[product], [current]])
-    if check is not None and np.array_equal(check.radices, layout.radices):
-        got = check.accumulate([(check.pack(product.terms), check.pack(current.terms), 1)])
-        same = got is not None and all(map(np.array_equal, got, packed))
-    else:
+        layout, packed = lhs.layout, current
+        current = SparsePoly._raw(lhs.table, layout.unpack(packed))
+        exps = _exponents(product.terms, len(lhs.table))
+        top = exps.max(0, initial=0) + layout.digits(packed[0]).max(0, initial=0)
+        norm = sum(map(abs, product.terms.values())) * sum(map(abs, current.terms.values()))
+        if (top < layout.radices).all() and norm < 1 << 63:
+            got = _Int64Layout.accumulate([(layout.pack(product.terms, exps), packed, 1)])
+            same = got is not None and all(map(np.array_equal, got, lhs.packed))
+    if same is None:
         same = product * current == lhs
     return (current, None) if same else (None, len(factors))
 
@@ -754,6 +784,8 @@ def _det_minors(rows, table: VarTable) -> SparsePoly:
     if type(level) is tuple:  # the dense phase ran to the last row
         level = _dense_level(level, [], n)
     minor = level.get((1 << n) - 1)
+    if isinstance(layout, _Int64Layout) and minor:
+        return _PackedPoly(table, layout, minor)
     return SparsePoly._raw(table, layout.unpack(minor) if minor else {})
 
 
@@ -764,7 +796,8 @@ def poly_det(matrix) -> SparsePoly:
     minors instead of multiplying two large intermediate polynomials.  The
     expansion packs every entry once and keeps the minors packed: dense
     int64 tables, int64 arrays or packed-monomial dicts (see the module
-    docstring); the result comes back with exponent tuples.
+    docstring).  An int64 result stays packed and decodes its exponent
+    tuples on first access; `divide_out` reads its arrays instead.
     """
     rows = _entry_rows(matrix)
     n = len(rows)

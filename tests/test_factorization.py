@@ -199,7 +199,8 @@ def _split(lhs, factors):
 
 def _both_paths(monkeypatch, lhs, factors):
     """The certificate or error text on the packed route and on the dict
-    path, and the number of int64 accumulate calls the packed route made."""
+    path (lhs as a plain SparsePoly), and the number of int64 accumulate
+    calls the packed route made."""
     calls = []
     step = polys._Int64Layout.accumulate
     monkeypatch.setattr(
@@ -207,7 +208,7 @@ def _both_paths(monkeypatch, lhs, factors):
     )
     packed, count = _split(lhs, factors), len(calls)
     monkeypatch.setattr(polys, "_INT64_MIN_TERMS", float("inf"))
-    return packed, _split(lhs, factors), count
+    return packed, _split(SparsePoly._raw(lhs.table, lhs.terms), factors), count
 
 
 def _dict_path_calls(monkeypatch) -> list:
@@ -299,6 +300,98 @@ class TestPackedCertificate:
         assert calls == 0
         assert packed == plain
         assert packed.quotient == q
+
+    def test_carrying_digit_sum_takes_the_dict_comparison(self, monkeypatch, packed_case):
+        # Divisions that succeed leave deg_v P + deg_v Q = deg_v lhs below
+        # the radix, so the last quotient gains a term w^(radix_w - 1) to
+        # make the digit sum carry; only the dict comparison is then sound.
+        lhs, f1, f2, _ = packed_case
+        divide = polys._divide_int64
+
+        def with_top_digit(layout, packed, factor):
+            quotient = divide(layout, packed, factor)
+            if factor is f2:
+                top = (layout.radices[0] - 1) * layout.places[0]
+                quotient = tuple(map(polys.np.append, quotient, (top, 1)))
+            return quotient
+
+        step, calls = polys._Int64Layout.accumulate, []
+        monkeypatch.setattr(
+            polys._Int64Layout, "accumulate", staticmethod(lambda p: calls.append(1) or step(p))
+        )
+        monkeypatch.setattr(polys, "_divide_int64", with_top_digit)
+        assert _split(lhs, [f1, f2]) == "test: re-multiplication check failed"
+        assert calls == []
+
+    def test_norm_bound_past_int64_takes_the_dict_comparison(self, monkeypatch, packed_case):
+        # Scale q until |f1 f2|_1 |q|_1 reaches 2^63 while lhs, whose terms
+        # partly cancel, still packs and both divisions stay on int64.
+        lhs, f1, f2, q = packed_case
+        norm = lambda p: sum(map(abs, p.terms.values()))
+        scale = (1 << 63) // (norm(f1 * f2) * norm(q)) + 1
+        lhs, q = lhs.scale(scale), q.scale(scale)
+        assert norm(lhs) < 1 << 63 <= norm(f1 * f2) * norm(q)
+        divide, divided = polys._divide_int64, []
+        monkeypatch.setattr(
+            polys, "_divide_int64", lambda *args: divided.append(1) or divide(*args)
+        )
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
+        assert calls == 0 and len(divided) == 2
+        assert packed == plain
+        assert packed.quotient == q
+
+
+@pytest.fixture(scope="module")
+def equal_five():
+    """The equal-mass n = 5 certificate, whose lhs is det B still packed."""
+    cert = factor_nbody(5, equal_masses=True, long_running=True)
+    assert type(cert.lhs) is polys._PackedPoly
+    return cert
+
+
+class TestPackedDeterminant:
+    """det B stays packed from the minors expansion to the comparison with
+    the re-multiplied product."""
+
+    def test_one_decode_and_no_read_of_lhs_exponents(self, monkeypatch):
+        decoded, read = [], []
+        unpack, exponents = polys._Int64Layout.unpack, polys._exponents
+        monkeypatch.setattr(
+            polys._Int64Layout, "unpack", lambda self, p: decoded.append(len(p[0])) or unpack(self, p)
+        )
+        monkeypatch.setattr(polys, "_exponents", lambda e, n: read.append(len(e)) or exponents(e, n))
+        cert = factor_nbody(5, equal_masses=True, long_running=True)
+        assert cert.verified and decoded == [3815] == [len(cert.quotient.terms)]
+        assert read and max(read) < 64063
+        assert cert.quotient.to_text() == _golden("sigma_n5_equal.txt")
+        assert cert.to_json_dict()["lhs_terms"] == 64063 and decoded == [3815, 64063]
+
+    def test_forged_lhs_fails_the_re_multiplication(self, monkeypatch, equal_five):
+        # One coefficient of det B off by 1.  The divisions are handed the
+        # genuine arrays, so only the comparison can see the forgery.
+        lhs = equal_five.lhs
+        keys, coeffs = lhs.packed
+        coeffs = coeffs.copy()
+        coeffs[len(coeffs) // 2] += 1
+        forged = polys._PackedPoly(lhs.table, lhs.layout, (keys, coeffs))
+        divide, calls = polys._divide_int64, []
+        genuine = lambda packed: lhs.packed if packed is forged.packed else packed
+        monkeypatch.setattr(
+            polys, "_divide_int64", lambda layout, packed, f: divide(layout, genuine(packed), f)
+        )
+        step = polys._Int64Layout.accumulate
+        monkeypatch.setattr(
+            polys._Int64Layout, "accumulate", staticmethod(lambda p: calls.append(1) or step(p))
+        )
+        assert _split(forged, list(equal_five.factors)) == "test: re-multiplication check failed"
+        assert calls == [1]
+        assert _split(lhs, list(equal_five.factors)).quotient == equal_five.quotient
+
+    def test_non_dividing_factor_has_the_dict_path_text(self, monkeypatch, equal_five):
+        e4, delta = equal_five.factors
+        packed, plain, _ = _both_paths(monkeypatch, equal_five.lhs, [delta + 1, e4])
+        assert packed == plain
+        assert packed.startswith("test: factor ") and packed.endswith("does not divide exactly")
 
 
 class TestLevelDivision:
@@ -405,8 +498,8 @@ class TestLevelDivision:
 def test_generic_five_body_certificate():
     """factor_nbody(5) with generic masses: the full certificate, and sigma
     against `nbody_sigma_value` (the Bareiss kernel, no shared expansion
-    code) at 3 seeded rational points.  About 22 s and a peak RSS of
-    1.48 GB on a 2-core x86-64 box (Python 3.11, numpy 2.4)."""
+    code) at 3 seeded rational points.  About 16 s and a peak RSS of
+    0.9 GB on a 2-core x86-64 box (Python 3.11, numpy 2.4)."""
     cert = factor_nbody(5, long_running=True)
     assert cert.verified
     assert len(cert.quotient.terms) == 34680

@@ -1,5 +1,7 @@
 """Sparse polynomial arithmetic: ring laws, division, determinants, text form."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -551,16 +553,24 @@ class TestDenseMinors:
 
     def test_seeded_matrices_match_the_dict_step(self, monkeypatch):
         # Non-homogeneous entries over three and four variables, with some
-        # zero entries: a wrong Laplace sign changes the terms.
+        # zero entries: a wrong Laplace sign changes the terms.  A nonzero
+        # result comes back packed, and a fresh, undecoded copy of it must
+        # act as the dict step's result under ==, to_text, repr and -.
         nonzero, calls = 0, _int64_calls(monkeypatch)
         for seed in range(64):
             m, names = 8 + seed % 3, ("w", "x", "y", "z")[seed % 2:]
             rows = _poly_matrix(100 + seed, m, names, density=0.6)
             calls.clear()
-            fast = poly_det(rows).terms
+            det = poly_det(rows)
             assert "dense" in calls, seed
-            assert fast == _dict_det(monkeypatch, rows), seed
-            nonzero += bool(fast)
+            plain = SparsePoly._raw(det.table, _dict_det(monkeypatch, rows))
+            assert det.terms == plain.terms, seed
+            nonzero += bool(plain)
+            if plain:
+                fresh = lambda: polys._PackedPoly(det.table, det.layout, det.packed)
+                assert fresh() == plain and plain == fresh(), seed
+                assert fresh().to_text() == plain.to_text() and repr(fresh()) == repr(plain), seed
+                assert -fresh() == -plain and (-fresh()).to_text() == (-plain).to_text(), seed
         assert nonzero >= 40
 
     def test_handoff_at_every_level(self, monkeypatch):
@@ -620,6 +630,25 @@ class TestDenseMinors:
         det = symbolic_nbody_det(5, equal_masses=True, long_running=True)
         assert len(det.terms) == 64063
         assert calls == ["dense"] * 11  # ten rows, then the full minor
+
+
+class TestPackedResult:
+    """copy, deepcopy and a pickle round trip of an undecoded int64
+    determinant give a polynomial equal to it, as for any SparsePoly."""
+
+    @pytest.mark.parametrize("source", ["equal-mass-det-b-5", "seeded-8-rows"])
+    def test_copy_and_pickle(self, monkeypatch, source):
+        if source == "seeded-8-rows":
+            rows = _poly_matrix(3, 8)
+            det, expected = poly_det(rows), _dict_det(monkeypatch, rows)
+        else:
+            det = symbolic_nbody_det(5, equal_masses=True, long_running=True)
+            expected = polys._PackedPoly(det.table, det.layout, det.packed).terms
+        assert type(det) is polys._PackedPoly and len(expected) > 100
+        roundtrip = lambda p: pickle.loads(pickle.dumps(p))
+        for clone in (copy.copy, copy.deepcopy, roundtrip):
+            out = clone(polys._PackedPoly(det.table, det.layout, det.packed))
+            assert out.terms == expected and out == det and out.table == det.table
 
 
 class TestTextRoundtrip:
