@@ -304,29 +304,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {  # the class of an error a verb raises -> its exit code
+    InputFormatError: EXIT_PARSE, ValueError: EXIT_PARSE, KeyError: EXIT_PARSE,
+    DimensionMismatch: EXIT_DIMENSION, ResourceCapError: EXIT_RESOURCE,
+    VerificationError: EXIT_NEGATIVE, NotEmbeddableError: EXIT_NEGATIVE,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except DimensionMismatch as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DIMENSION
-    except ResourceCapError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESOURCE
-    except VerificationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NEGATIVE
-    except NotEmbeddableError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NEGATIVE
-    except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -172,7 +172,7 @@ class FactorizationCertificate:
             "family": self.family,
             "n": self.n,
             "vars": list(self.lhs.table.names),
-            "lhs_terms": len(self.lhs.terms),
+            "lhs_terms": self.lhs.term_count(),
             "factors": [f.to_text() for f in self.factors],
             "quotient": self.quotient.to_text(),
             "verified": self.verified,

@@ -24,17 +24,16 @@ the divisor's leading monomial divides monomial `k` exactly when
 `d = k - lead` has `d >= 0` and no guard bit set (Monagan & Pearce,
 "Sparse polynomial division using a heap", JSC 2011).
 
-Large integer work -- a determinant of 8 or more rows, a certificate
-whose lhs has 2^15 or more terms -- runs on int64 arrays instead when
-bounds read off the inputs prove no key or partial sum reaches 2^63:
-mixed-radix monomial keys (Kronecker substitution; von zur Gathen &
-Gerhard, "Modern Computer Algebra", 8.4), one stable sort, and
-`np.add.reduceat` over runs of equal keys.  A determinant first builds
-its levels of minors as dense tables by scatter-adds (`_dense_level`),
-and comes back packed (`_PackedPoly`, decoded only when read).
-`divide_out` keeps such a certificate packed from det B to its
-re-multiplication: each division runs level by level on the arrays
-(`_divide_int64`), and only the quotient is decoded.
+Large integer work -- a determinant of 8 or more rows and its
+certificate -- runs on int64 arrays instead when bounds read off the
+inputs prove no key or partial sum reaches 2^63: mixed-radix monomial
+keys (Kronecker substitution; von zur Gathen & Gerhard, "Modern Computer
+Algebra", 8.4), one stable sort, and `np.add.reduceat` over runs of equal
+keys.  A determinant first builds its levels of minors as dense tables by
+scatter-adds (`_dense_level`), and comes back packed (`_PackedPoly`,
+decoded only when read).  Both layouts, `_Packing` and `_Int64Layout`,
+offer `pack`, `accumulate`, `divide` and `unpack`, so a certificate
+(`divide_out`) runs in lhs's layout and decodes only its quotient.
 """
 
 from __future__ import annotations
@@ -140,6 +139,55 @@ class _Packing:
                         del acc[k]
         return acc
 
+    def divide(self, num: dict, factor: SparsePoly):
+        """The packed quotient num / factor, or None when factor does not
+        divide, by the heap division `exact_divide` describes; num is kept."""
+        if not factor.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        (den_key, den_coeff), *den_rest = sorted(self.pack(factor.terms).items(), reverse=True)
+        remainder, guard = dict(num), self.guard
+        heap = [-k for k in remainder]
+        heapq.heapify(heap)
+        get, push, pop = remainder.get, heapq.heappush, heapq.heappop
+        quotient: dict = {}
+        while heap:
+            key = -pop(heap)
+            coeff = remainder.pop(key, 0)
+            if not coeff:
+                continue
+            shift = key - den_key
+            if shift < 0 or shift & guard:
+                return None
+            if den_coeff == 1:
+                q_coeff = coeff if type(coeff) is int else _canonical(coeff)
+            elif type(coeff) is int and type(den_coeff) is int:
+                q_coeff, rem = divmod(coeff, den_coeff)
+                if rem:
+                    q_coeff = Fraction(coeff, den_coeff)
+            else:
+                q_coeff = _canonical(Fraction(coeff) / den_coeff)
+            # Leading monomials strictly decrease, so every shift is new.
+            quotient[shift] = q_coeff
+            for k, c in den_rest:
+                target = shift + k
+                old = get(target)
+                if old is None:
+                    remainder[target] = -q_coeff * c
+                    push(heap, -target)
+                else:
+                    total = old - q_coeff * c
+                    if total:
+                        remainder[target] = total
+                    else:
+                        del remainder[target]
+        return quotient
+
+    def reproduces(self, lhs: dict, product, quotient, packed: dict) -> bool:
+        """Whether product * quotient, `packed` here, is lhs.  The quotient's
+        keys come from divisions here, so its slots, like the product's, stay
+        below their guard bits, and no slot sum carries."""
+        return self.accumulate([(self.pack(product.terms), packed, 1)]) == lhs
+
 
 @lru_cache(maxsize=None)
 def _layout(nvars: int, slot_bytes: int) -> _Packing:
@@ -154,10 +202,12 @@ def _packing(nvars: int, degree_bound: int) -> _Packing:
     raise OverflowError(f"degree bound {degree_bound} exceeds the packed range")
 
 
-# Sizes from which int64 arrays pay for numpy: det B at n = 5 (10 x 10 and
-# 64,063 terms); the largest certificate below it has 7,866 terms.
+# Rows from which int64 arrays pay for numpy: det B at n = 5 (10 x 10).
 _INT64_MIN_ROWS = 8
-_INT64_MIN_TERMS = 1 << 15
+
+
+class _Unfit(Exception):
+    """The int64 arrays cannot carry a certificate step."""
 
 
 class _Int64Layout:
@@ -171,9 +221,9 @@ class _Int64Layout:
         self.places = np.array(places, dtype=np.int64)
         self.radices = np.array(radices, dtype=np.int64)
 
-    def pack(self, terms: dict, exps=None):
+    def pack(self, terms: dict):
         """(keys, coeffs) sorted by key, as `accumulate` returns them."""
-        keys = (_exponents(terms, len(self.places)) if exps is None else exps) @ self.places
+        keys = _exponents(terms, len(self.places)) @ self.places
         order = keys.argsort(kind="stable")
         return keys[order], np.array(list(terms.values()), dtype=np.int64)[order]
 
@@ -193,6 +243,64 @@ class _Int64Layout:
             np.concatenate([np.add.outer(a[0], b[0]).ravel() for a, b, _ in products]),
             np.concatenate([np.multiply.outer(s * a[1], b[1]).ravel() for a, b, s in products]),
         )
+
+    def divide(self, packed, factor: SparsePoly):
+        """packed / factor as (keys, coeffs), None when factor does not
+        divide; `_Unfit` when the arrays cannot carry the division.
+
+        With c_L x^L F's grlex lead, weigh x^m by w(m) = L.m.  If L.L > L.k for
+        every other term x^k, c_L x^L is F's top w-form, so if lhs = F Q, the
+        top w-form of lhs - F Q_{>l} is c_L x^L Q_l.  So from the top level down,
+        each bucket of one w is summed and divided by c_L x^L; its products with
+        the other terms drop L.(L - k) >= 1 levels.  Levels fall, and the loop
+        ends unrejected exactly when lhs = F Q.  None: a digit out of L_v <= d_v
+        <= L_v + radix_v - 1 - deg_v F (Q meets it: deg_v Q = deg_v lhs - deg_v
+        F; it keeps key sums carry-free).  `_Unfit`: Fractions, a lead failing
+        the test, c_L not dividing a sum, or max|lhs| + |F|_1 max|q| reaching
+        2^63 (it bounds each partial sum at a key: its terms have distinct k).
+        Any layout whose radices bound lhs's digits serves, such as det B's
+        rows-based one: the room test alone keeps Q's key sums carry-free.
+        """
+        big, norm, q_max = int(abs(packed[1]).max()), sum(map(abs, factor.terms.values())), 0
+        if set(map(type, factor.terms.values())) != {int} or big + norm >= 1 << 63:
+            raise _Unfit  # also for a zero factor
+        degrees, radices = [max(column) for column in zip(*factor.terms)], self.radices.tolist()
+        (lead, c_lead), places = factor.leading_term(), self.places.tolist()
+        dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+        rest = [(dot(lead, lead) - dot(lead, k), dot(k, places), -c)
+                for k, c in factor.terms.items() if k != lead]
+        if any(drop < 1 for drop, _, _ in rest) or max([dot(lead, radices), *degrees]) >= 1 << 63:
+            raise _Unfit  # a lead failing the test, or levels or degrees past int64
+        used = np.flatnonzero(degrees)  # any digit passes outside the factor's variables
+        low = np.array(lead, dtype=np.int64)[used]
+        room = self.radices[used] - 1 - np.array(degrees, dtype=np.int64)[used]
+        levels = self.digits(packed[0], used) @ low
+        buckets = {int(w): [tuple(a[levels == w] for a in packed)] for w in np.unique(levels)}
+        out = []
+        while buckets:
+            level = max(buckets)
+            if (summed := _sum_runs(*map(np.concatenate, zip(*buckets.pop(level))))) is None:
+                continue
+            if (((found := self.digits(summed[0], used) - low) < 0) | (found > room)).any():
+                return None
+            q_keys, q = summed[0] - dot(lead, places), summed[1] // c_lead
+            q_max = max(q_max, int(abs(q).max()))
+            if (summed[1] % c_lead).any() or big + norm * q_max >= 1 << 63:
+                raise _Unfit
+            out.append((q_keys, q))
+            for drop, key, coeff in rest:
+                buckets.setdefault(level - drop, []).append((q_keys + key, q * coeff))
+        return tuple(map(np.concatenate, zip(*out)))
+
+    def reproduces(self, lhs, product, quotient, packed) -> bool:
+        """Whether product * quotient, `packed` here, is lhs; `_Unfit` unless
+        their own layout fits in this one: max deg_v P + max deg_v Q <
+        radix_v (no digit carries), |P|_1 |Q|_1 < 2^63 (no sum overflows)."""
+        fit = _int64_layout([[product], [quotient]])
+        if fit is None or (fit.radices > self.radices).any():
+            raise _Unfit
+        got = self.accumulate([(self.pack(product.terms), packed, 1)])
+        return got is not None and all(map(np.array_equal, got, lhs))
 
 
 def _sum_runs(keys, coeffs):
@@ -215,10 +323,9 @@ def _exponents(exps, nvars: int):
     return flat.reshape(len(exps), nvars)
 
 
-def _int64_layout(rows, read=None):
+def _int64_layout(rows):
     """The int64 layout for products of one polynomial from each row, or
-    None unless every coefficient is an int and both bounds stay below 2^63
-    (each row's exponent array goes to the list `read`, if given)."""
+    None unless every coefficient is an int and both bounds stay below 2^63."""
     nvars = len(rows[0][0].table)
     radices, coeff_bound = [1] * nvars, 1
     for row in rows:
@@ -229,8 +336,6 @@ def _int64_layout(rows, read=None):
             exps = _exponents([exp for poly in row for exp in poly.terms], nvars)
         except OverflowError:
             return None
-        if read is not None:
-            read.append(exps)
         radices = [radix + top for radix, top in zip(radices, exps.max(0, initial=0).tolist())]
         # Coefficients: every coefficient of a product over a subset R of
         # the rows, and every partial sum of its term products, is at most
@@ -372,9 +477,7 @@ class SparsePoly:
         if _is_number(other):
             if not other:
                 return not self.terms
-            return self.terms == {(0,) * len(self.table): other} or self.terms == {
-                (0,) * len(self.table): Fraction(other)
-            }
+            return self.terms == {(0,) * len(self.table): other}
         return NotImplemented
 
     __hash__ = None
@@ -385,6 +488,10 @@ class SparsePoly:
             raise ValueError("the zero polynomial has no leading term")
         exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
+
+    def term_count(self) -> int:
+        """The number of terms (a packed result counts without decoding)."""
+        return len(self.terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -510,6 +617,9 @@ class _PackedPoly(SparsePoly):
     def __init__(self, table: VarTable, layout: _Int64Layout, packed):
         self.table, self.layout, self.packed = table, layout, packed
 
+    def term_count(self) -> int:
+        return len(self.packed[0])
+
     def __getattr__(self, name):
         # Reached only for a missing attribute: `terms` before its first read.
         if name != "terms":
@@ -539,105 +649,9 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
     if not isinstance(num, SparsePoly) or not isinstance(den, SparsePoly):
         raise TypeError("exact_divide expects two polynomials")
     num._check_table(den)
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero():
-        return SparsePoly.zero(num.table)
     packing = _packing(len(num.table), max(num.degree(), den.degree()))
-    quotient = _heap_divide(packing.pack(num.terms), packing.pack(den.terms), packing.guard)
+    quotient = packing.divide(packing.pack(num.terms), den)
     return None if quotient is None else SparsePoly._raw(num.table, packing.unpack(quotient))
-
-
-def _heap_divide(remainder: dict, den_terms: dict, guard: int):
-    """The packed quotient of `exact_divide`, or None; consumes both dicts."""
-    den_key = max(den_terms)
-    den_coeff = den_terms.pop(den_key)
-    den_rest = list(den_terms.items())
-    heap = [-k for k in remainder]
-    heapq.heapify(heap)
-    get, push, pop = remainder.get, heapq.heappush, heapq.heappop
-    quotient: dict = {}
-    while heap:
-        key = -pop(heap)
-        coeff = remainder.pop(key, 0)
-        if not coeff:
-            continue
-        shift = key - den_key
-        if shift < 0 or shift & guard:
-            return None
-        if den_coeff == 1:
-            q_coeff = coeff if type(coeff) is int else _canonical(coeff)
-        elif type(coeff) is int and type(den_coeff) is int:
-            q_coeff, rem = divmod(coeff, den_coeff)
-            if rem:
-                q_coeff = Fraction(coeff, den_coeff)
-        else:
-            q_coeff = _canonical(Fraction(coeff) / den_coeff)
-        # Leading monomials strictly decrease, so every shift is new.
-        quotient[shift] = q_coeff
-        for k, c in den_rest:
-            target = shift + k
-            old = get(target)
-            if old is None:
-                remainder[target] = -q_coeff * c
-                push(heap, -target)
-            else:
-                total = old - q_coeff * c
-                if total:
-                    remainder[target] = total
-                else:
-                    del remainder[target]
-    return quotient
-
-
-def _divide_int64(layout: _Int64Layout, packed, factor: SparsePoly):
-    """packed / factor as int64 (keys, coeffs), None when factor does not
-    divide, or `exact_divide`'s answer when the arrays cannot carry it.
-
-    With c_L x^L F's grlex lead, weigh x^m by w(m) = L.m.  If L.L > L.k for
-    every other term x^k, c_L x^L is F's top w-form, so if lhs = F Q, the
-    top w-form of lhs - F Q_{>l} is c_L x^L Q_l.  So from the top level down,
-    each bucket of one w is summed and divided by c_L x^L; its products with
-    the other terms drop L.(L - k) >= 1 levels.  Levels fall, and the loop
-    ends unrejected exactly when lhs = F Q.  None: a digit out of L_v <= d_v
-    <= L_v + radix_v - 1 - deg_v F (Q meets it: deg_v Q = deg_v lhs - deg_v
-    F; it keeps key sums carry-free).  Dict path: Fractions, a lead failing
-    the test, c_L not dividing a sum, or max|lhs| + |F|_1 max|q| reaching
-    2^63 (it bounds each partial sum at a key: its terms have distinct k).
-    Any layout whose radices bound lhs's digits serves, such as det B's
-    rows-based one: the room test alone keeps Q's key sums carry-free.
-    """
-    big, norm, q_max = int(abs(packed[1]).max()), sum(map(abs, factor.terms.values())), 0
-    dict_path = lambda: exact_divide(SparsePoly._raw(factor.table, layout.unpack(packed)), factor)
-    if set(map(type, factor.terms.values())) != {int} or big + norm >= 1 << 63:
-        return dict_path()  # also raises for a zero factor
-    degrees, radices = [max(column) for column in zip(*factor.terms)], layout.radices.tolist()
-    (lead, c_lead), places = factor.leading_term(), layout.places.tolist()
-    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
-    rest = [(dot(lead, lead) - dot(lead, k), dot(k, places), -c)
-            for k, c in factor.terms.items() if k != lead]
-    if any(drop < 1 for drop, _, _ in rest) or max([dot(lead, radices), *degrees]) >= 1 << 63:
-        return dict_path()  # a lead failing the test, or levels or degrees past int64
-    used = np.flatnonzero(degrees)  # any digit passes outside the factor's variables
-    low = np.array(lead, dtype=np.int64)[used]
-    room = layout.radices[used] - 1 - np.array(degrees, dtype=np.int64)[used]
-    levels = layout.digits(packed[0], used) @ low
-    buckets = {int(w): [tuple(a[levels == w] for a in packed)] for w in np.unique(levels)}
-    out = []
-    while buckets:
-        level = max(buckets)
-        if (summed := _sum_runs(*map(np.concatenate, zip(*buckets.pop(level))))) is None:
-            continue
-        if (((found := layout.digits(summed[0], used) - low) < 0) | (found > room)).any():
-            return None
-        q_keys, q = summed[0] - dot(lead, places), summed[1] // c_lead
-        q_max = max(q_max, int(abs(q).max()))
-        if (summed[1] % c_lead).any() or big + norm * q_max >= 1 << 63:
-            return dict_path()
-        out.append((q_keys, q))
-        for drop, key, coeff in rest:
-            buckets.setdefault(level - drop, []).append((q_keys + key, q * coeff))
-    return tuple(map(np.concatenate, zip(*out)))
 
 
 def divide_out(lhs: SparsePoly, factors):
@@ -646,37 +660,29 @@ def divide_out(lhs: SparsePoly, factors):
     first factor k that does not divide, or (None, len(factors)) when the
     re-multiplication differs.
 
-    A large integer lhs (an int64 determinant, or 2^15 or more terms packed
-    here once) is divided level by level in its own int64 layout, and only
-    the quotient Q is decoded.  The product P is re-multiplied in that
-    layout when, for every v, max deg_v P + max deg_v Q < radix_v (no digit
-    carries) and |P|_1 |Q|_1 < 2^63 (it bounds every partial sum).
+    lhs is packed once: det B arrives on int64 arrays, any other lhs is
+    packed here into packed-int dicts.  The divisions, the one
+    re-multiplication and the comparison with lhs run in that layout, and
+    only the quotient is decoded.  The input picks the division kernel
+    (int64 where the proven bounds fit); the one fallback reruns the whole
+    certificate on packed-int dicts when the arrays cannot carry a step.
     """
     product = math.prod(factors, start=SparsePoly.const(lhs.table, 1))
-    if not isinstance(lhs, _PackedPoly) and len(lhs.terms) >= _INT64_MIN_TERMS:
-        if (layout := _int64_layout([[lhs]], read := [])) is not None:
-            lhs = _PackedPoly(lhs.table, layout, layout.pack(lhs.terms, read.pop()))
-    current = lhs.packed if isinstance(lhs, _PackedPoly) else lhs
-    for k, factor in enumerate(factors):
-        if isinstance(current, SparsePoly):
-            current = exact_divide(current, factor)
-        else:
-            current = _divide_int64(lhs.layout, current, factor)
-        if current is None:
-            return None, k
-    same = None
-    if not isinstance(current, SparsePoly):
-        layout, packed = lhs.layout, current
-        current = SparsePoly._raw(lhs.table, layout.unpack(packed))
-        exps = _exponents(product.terms, len(lhs.table))
-        top = exps.max(0, initial=0) + layout.digits(packed[0]).max(0, initial=0)
-        norm = sum(map(abs, product.terms.values())) * sum(map(abs, current.terms.values()))
-        if (top < layout.radices).all() and norm < 1 << 63:
-            got = _Int64Layout.accumulate([(layout.pack(product.terms, exps), packed, 1)])
-            same = got is not None and all(map(np.array_equal, got, lhs.packed))
-    if same is None:
-        same = product * current == lhs
-    return (current, None) if same else (None, len(factors))
+    if isinstance(lhs, _PackedPoly):
+        layout, packed = lhs.layout, lhs.packed
+    else:
+        layout = _packing(len(lhs.table), max(lhs.degree(), product.degree()))
+        packed = layout.pack(lhs.terms)
+    current = packed
+    try:
+        for k, factor in enumerate(factors):
+            if (current := layout.divide(current, factor)) is None:
+                return None, k
+        quotient = SparsePoly._raw(lhs.table, layout.unpack(current))
+        same = layout.reproduces(packed, product, quotient, current)
+    except _Unfit:
+        return divide_out(SparsePoly._raw(lhs.table, lhs.terms), factors)
+    return (quotient, None) if same else (None, len(factors))
 
 
 def _entry_rows(matrix):

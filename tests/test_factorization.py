@@ -178,16 +178,22 @@ def _random_terms(rng, nvars, size, max_exp, max_coeff):
 
 @pytest.fixture(scope="module")
 def packed_case():
-    """An integer lhs = f1 * f2 * q above the packed route's size test:
-    f1 has one term, f2 has 40."""
+    """An integer lhs = f1 * f2 * q that int64 arrays hold: f1 has one
+    term, f2 has 40."""
     table = VarTable(["w", "x", "y", "z"])
     rng = random.Random(2024)
     f1 = SparsePoly(table, {(2, 0, 1, 0): -3})
     f2 = SparsePoly(table, _random_terms(rng, 4, 40, 4, 9))
     q = SparsePoly(table, _random_terms(rng, 4, 1000, 25, 99))
     lhs = f1 * f2 * q
-    assert len(lhs.terms) >= polys._INT64_MIN_TERMS
+    assert polys._int64_layout([[lhs]]) is not None
     return lhs, f1, f2, q
+
+
+def _packed(lhs):
+    """lhs on int64 arrays in its own layout, as det B reaches divide_out."""
+    layout = polys._int64_layout([[lhs]])
+    return polys._PackedPoly(lhs.table, layout, layout.pack(lhs.terms))
 
 
 def _split(lhs, factors):
@@ -197,32 +203,38 @@ def _split(lhs, factors):
         return str(exc)
 
 
-def _both_paths(monkeypatch, lhs, factors):
-    """The certificate or error text on the packed route and on the dict
-    path (lhs as a plain SparsePoly), and the number of int64 accumulate
-    calls the packed route made."""
+def _accumulate_calls(monkeypatch) -> list:
+    """Record each int64 accumulate call: a re-multiplication on the arrays."""
     calls = []
     step = polys._Int64Layout.accumulate
     monkeypatch.setattr(
         polys._Int64Layout, "accumulate", staticmethod(lambda p: calls.append(1) or step(p))
     )
-    packed, count = _split(lhs, factors), len(calls)
-    monkeypatch.setattr(polys, "_INT64_MIN_TERMS", float("inf"))
-    return packed, _split(SparsePoly._raw(lhs.table, lhs.terms), factors), count
+    return calls
+
+
+def _both_paths(monkeypatch, lhs, factors):
+    """The certificate or error text on the int64 route (lhs packed, if it
+    is not already) and on the dict route (lhs as a plain SparsePoly), and
+    the number of int64 accumulate calls the int64 route made."""
+    with monkeypatch.context() as patch:
+        calls = _accumulate_calls(patch)
+        packed = _split(lhs if type(lhs) is polys._PackedPoly else _packed(lhs), factors)
+    return packed, _split(SparsePoly._raw(lhs.table, lhs.terms), factors), len(calls)
 
 
 def _dict_path_calls(monkeypatch) -> list:
-    """Record each divisor `exact_divide` gets from inside `polys`."""
+    """Record each factor the dict route's heap division gets."""
     calls = []
-    exact_divide = polys.exact_divide
-    spy = lambda num, den: calls.append(den) or exact_divide(num, den)
-    monkeypatch.setattr(polys, "exact_divide", spy)
+    divide = polys._Packing.divide
+    spy = lambda self, num, factor: calls.append(factor) or divide(self, num, factor)
+    monkeypatch.setattr(polys._Packing, "divide", spy)
     return calls
 
 
 class TestPackedCertificate:
     """A large integer certificate stays on int64 arrays from lhs to the
-    re-multiplication; today's dict path is the reference."""
+    re-multiplication; the dict route is the reference."""
 
     def test_same_certificate_on_both_paths(self, monkeypatch, packed_case):
         lhs, f1, f2, q = packed_case
@@ -248,10 +260,10 @@ class TestPackedCertificate:
         assert packed.startswith("test: factor ") and packed.endswith("does not divide exactly")
 
     def test_failed_comparison_has_the_same_error(self, monkeypatch, packed_case):
-        # The last quotient gains 1 at its largest key: on the packed route
-        # in the int64 division's arrays, on the dict path in the heap loop's.
+        # The last quotient gains 1 at its largest key: on the int64 route
+        # in the level division's arrays, on the dict route in the heap's.
         lhs, f1, f2, _ = packed_case
-        divide, heap_divide, corrupted = polys._divide_int64, polys._heap_divide, []
+        divide, heap_divide, corrupted = polys._Int64Layout.divide, polys._Packing.divide, []
 
         def int64_off_by_one(layout, packed, factor):
             quotient = divide(layout, packed, factor)
@@ -261,24 +273,23 @@ class TestPackedCertificate:
                 corrupted.append("int64")
             return quotient
 
-        def heap_off_by_one(remainder, den_terms, guard):
-            last = len(den_terms) > 1  # f2, the last factor
-            quotient = heap_divide(remainder, den_terms, guard)
-            if last:
+        def heap_off_by_one(packing, num, factor):
+            quotient = heap_divide(packing, num, factor)
+            if factor is f2:
                 quotient[max(quotient)] += 1
                 corrupted.append("heap")
             return quotient
 
-        monkeypatch.setattr(polys, "_divide_int64", int64_off_by_one)
-        monkeypatch.setattr(polys, "_heap_divide", heap_off_by_one)
+        monkeypatch.setattr(polys._Int64Layout, "divide", int64_off_by_one)
+        monkeypatch.setattr(polys._Packing, "divide", heap_off_by_one)
         packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
         assert calls == 1
         assert corrupted == ["int64", "heap"]
         assert packed == plain == "test: re-multiplication check failed"
 
     def test_one_term_coefficient_that_does_not_divide(self, monkeypatch, packed_case):
-        # The quotient needs Fractions: the dict path takes over at that
-        # factor, and the re-multiplication of a Fraction quotient too.
+        # The quotient needs Fractions: the whole certificate reruns on the
+        # dict route, the re-multiplication of a Fraction quotient too.
         lhs, f1, f2, q = packed_case
         f7 = SparsePoly(lhs.table, {(2, 0, 1, 0): 7})
         packed, plain, calls = _both_paths(monkeypatch, lhs, [f7, f2])
@@ -288,6 +299,8 @@ class TestPackedCertificate:
 
     @pytest.mark.parametrize("bound", ["key", "coefficient"])
     def test_bound_past_int64_takes_the_dict_path(self, monkeypatch, packed_case, bound):
+        # No int64 layout holds such an lhs, so it reaches divide_out as a
+        # plain SparsePoly and the dict route certifies it.
         lhs, f1, f2, q = packed_case
         if bound == "key":
             # w -> w^k is a ring map; the radix product passes 2^63.
@@ -296,32 +309,37 @@ class TestPackedCertificate:
             lhs, f1, f2, q = map(image, (lhs, f1, f2, q))
         else:
             lhs, f1, q = lhs.scale(2**62), f1.scale(2**31), q.scale(2**31)
-        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
-        assert calls == 0
-        assert packed == plain
-        assert packed.quotient == q
+        assert polys._int64_layout([[lhs]]) is None
+        calls = _accumulate_calls(monkeypatch)
+        assert _split(lhs, [f1, f2]).quotient == q
+        assert calls == []
 
     def test_carrying_digit_sum_takes_the_dict_comparison(self, monkeypatch, packed_case):
         # Divisions that succeed leave deg_v P + deg_v Q = deg_v lhs below
-        # the radix, so the last quotient gains a term w^(radix_w - 1) to
-        # make the digit sum carry; only the dict comparison is then sound.
+        # the radix, so the last quotient gains a term w^(radix_w - 1) on
+        # both routes to make the int64 digit sum carry; the int64 route
+        # then compares nothing on its arrays and reruns on the dict route.
         lhs, f1, f2, _ = packed_case
-        divide = polys._divide_int64
+        top = int(polys._int64_layout([[lhs]]).radices[0]) - 1
+        divide, heap_divide = polys._Int64Layout.divide, polys._Packing.divide
 
-        def with_top_digit(layout, packed, factor):
+        def int64_with_top_digit(layout, packed, factor):
             quotient = divide(layout, packed, factor)
             if factor is f2:
-                top = (layout.radices[0] - 1) * layout.places[0]
-                quotient = tuple(map(polys.np.append, quotient, (top, 1)))
+                quotient = tuple(map(polys.np.append, quotient, (top * layout.places[0], 1)))
             return quotient
 
-        step, calls = polys._Int64Layout.accumulate, []
-        monkeypatch.setattr(
-            polys._Int64Layout, "accumulate", staticmethod(lambda p: calls.append(1) or step(p))
-        )
-        monkeypatch.setattr(polys, "_divide_int64", with_top_digit)
-        assert _split(lhs, [f1, f2]) == "test: re-multiplication check failed"
-        assert calls == []
+        def heap_with_top_digit(packing, num, factor):
+            quotient = heap_divide(packing, num, factor)
+            if factor is f2:
+                quotient.update(packing.pack({(top, 0, 0, 0): 1}))
+            return quotient
+
+        monkeypatch.setattr(polys._Int64Layout, "divide", int64_with_top_digit)
+        monkeypatch.setattr(polys._Packing, "divide", heap_with_top_digit)
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
+        assert packed == plain == "test: re-multiplication check failed"
+        assert calls == 0
 
     def test_norm_bound_past_int64_takes_the_dict_comparison(self, monkeypatch, packed_case):
         # Scale q until |f1 f2|_1 |q|_1 reaches 2^63 while lhs, whose terms
@@ -331,14 +349,34 @@ class TestPackedCertificate:
         scale = (1 << 63) // (norm(f1 * f2) * norm(q)) + 1
         lhs, q = lhs.scale(scale), q.scale(scale)
         assert norm(lhs) < 1 << 63 <= norm(f1 * f2) * norm(q)
-        divide, divided = polys._divide_int64, []
+        divide, divided = polys._Int64Layout.divide, []
         monkeypatch.setattr(
-            polys, "_divide_int64", lambda *args: divided.append(1) or divide(*args)
+            polys._Int64Layout, "divide", lambda *args: divided.append(1) or divide(*args)
         )
         packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
         assert calls == 0 and len(divided) == 2
         assert packed == plain
         assert packed.quotient == q
+
+
+@pytest.mark.parametrize("family", ["nbody", "w"])
+def test_certificate_packs_lhs_once_and_decodes_only_the_quotient(monkeypatch, family):
+    # The dict route packs lhs once and keeps every division, the
+    # re-multiplication and the comparison packed: neither lhs nor the
+    # middle quotient is ever decoded.
+    cert = factor_nbody(4) if family == "nbody" else factor_w(3)
+    lhs, factors = cert.lhs, list(cert.factors)
+    middle = polys.exact_divide(lhs, factors[0])
+    packed, unpacked = [], []
+    pack, unpack = polys._Packing.pack, polys._Packing.unpack
+    monkeypatch.setattr(polys._Packing, "pack", lambda s, t: packed.append(len(t)) or pack(s, t))
+    monkeypatch.setattr(
+        polys._Packing, "unpack", lambda s, t: unpacked.append(len(t)) or unpack(s, t)
+    )
+    assert polys.divide_out(lhs, factors) == (cert.quotient, None)
+    assert packed.count(len(lhs.terms)) == 1
+    assert unpacked[-1] == len(cert.quotient.terms)
+    assert not {len(lhs.terms), len(middle.terms)} & set(unpacked)
 
 
 @pytest.fixture(scope="module")
@@ -364,7 +402,7 @@ class TestPackedDeterminant:
         assert cert.verified and decoded == [3815] == [len(cert.quotient.terms)]
         assert read and max(read) < 64063
         assert cert.quotient.to_text() == _golden("sigma_n5_equal.txt")
-        assert cert.to_json_dict()["lhs_terms"] == 64063 and decoded == [3815, 64063]
+        assert cert.to_json_dict()["lhs_terms"] == 64063 and decoded == [3815]
 
     def test_forged_lhs_fails_the_re_multiplication(self, monkeypatch, equal_five):
         # One coefficient of det B off by 1.  The divisions are handed the
@@ -374,15 +412,12 @@ class TestPackedDeterminant:
         coeffs = coeffs.copy()
         coeffs[len(coeffs) // 2] += 1
         forged = polys._PackedPoly(lhs.table, lhs.layout, (keys, coeffs))
-        divide, calls = polys._divide_int64, []
+        divide = polys._Int64Layout.divide
         genuine = lambda packed: lhs.packed if packed is forged.packed else packed
         monkeypatch.setattr(
-            polys, "_divide_int64", lambda layout, packed, f: divide(layout, genuine(packed), f)
+            polys._Int64Layout, "divide", lambda layout, packed, f: divide(layout, genuine(packed), f)
         )
-        step = polys._Int64Layout.accumulate
-        monkeypatch.setattr(
-            polys._Int64Layout, "accumulate", staticmethod(lambda p: calls.append(1) or step(p))
-        )
+        calls = _accumulate_calls(monkeypatch)
         assert _split(forged, list(equal_five.factors)) == "test: re-multiplication check failed"
         assert calls == [1]
         assert _split(lhs, list(equal_five.factors)).quotient == equal_five.quotient
@@ -396,29 +431,29 @@ class TestPackedDeterminant:
 
 class TestLevelDivision:
     """The int64 division of the packed route, level by level: every shipped
-    factor takes it, and each way out agrees with the dict path."""
+    factor takes it, and each way out agrees with the dict route."""
 
     def test_goldens_through_the_packed_route(self, monkeypatch):
-        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
-        handed = _dict_path_calls(monkeypatch)
-        divide, divided = polys._divide_int64, []
-        monkeypatch.setattr(
-            polys, "_divide_int64", lambda *args: divided.append(1) or divide(*args)
-        )
-        for cert, golden in [
+        certs = [
             (factor_nbody(2), "sigma_n2.txt"),
             (factor_nbody(3), "sigma_n3.txt"),
             (factor_nbody(4), "sigma_n4.txt"),
             (factor_w(2), "z_n2.txt"),
             (factor_w(3), "z_n3.txt"),
-        ]:
-            assert cert.verified
-            assert cert.quotient.to_text() == _golden(golden)
-            assert {type(c) for c in cert.quotient.terms.values()} == {int}
+        ]
         equal = factor_nbody(3, equal_masses=True)
+        handed = _dict_path_calls(monkeypatch)
+        divide, divided = polys._Int64Layout.divide, []
+        monkeypatch.setattr(
+            polys._Int64Layout, "divide", lambda *args: divided.append(1) or divide(*args)
+        )
+        for cert, golden in certs:
+            quotient, failed = polys.divide_out(_packed(cert.lhs), list(cert.factors))
+            assert failed is None
+            assert quotient.to_text() == _golden(golden)
+            assert {type(c) for c in quotient.terms.values()} == {int}
+        assert polys.divide_out(_packed(equal.lhs), list(equal.factors)) == (equal.quotient, None)
         assert len(divided) == 12 and handed == []
-        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", float("inf"))
-        assert equal == factor_nbody(3, equal_masses=True)
 
     def test_lead_failing_the_weight_test_takes_the_dict_path(self, monkeypatch):
         # Lead x*y: L.L = 2 = L.(y^2), so x*y is not the whole top form.
@@ -428,23 +463,22 @@ class TestLevelDivision:
         factor = x * y + y**2
         q = SparsePoly(table, _random_terms(rng, 2, 40, 9, 50))
         handed = _dict_path_calls(monkeypatch)
-        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
         packed, plain, _ = _both_paths(monkeypatch, factor * q, [factor])
-        assert len(handed) == 2  # the packed route's, then the dict path's own
+        assert len(handed) == 2  # the int64 route's fallback, then the dict route
         assert packed == plain
         assert packed.quotient == q
 
     def test_multi_term_lead_coefficient_that_does_not_divide(self, monkeypatch):
         # Coefficients 1..6 of q: 7 * c_L divides no bucket, so the first
-        # level hands the factor to the dict path, and q / 7 needs Fractions.
+        # level sends the certificate to the dict route, and q / 7 needs
+        # Fractions.
         table = VarTable(["x", "y", "z"])
         rng = random.Random(212)
         f = SparsePoly(table, _random_terms(rng, 3, 12, 3, 9))
         q = SparsePoly(table, {e: abs(c) % 6 + 1 for e, c in _random_terms(rng, 3, 60, 6, 9).items()})
         handed = _dict_path_calls(monkeypatch)
-        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
         packed, plain, _ = _both_paths(monkeypatch, f * q, [f.scale(7)])
-        assert len(handed) == 2  # the packed route's, then the dict path's own
+        assert len(handed) == 2  # the int64 route's fallback, then the dict route
         assert packed == plain
         assert packed.quotient == q.scale(Fraction(1, 7))
 
@@ -457,9 +491,8 @@ class TestLevelDivision:
         q = SparsePoly(table, _random_terms(rng, 2, 50, 10, 50))
         lhs = (x + y) * q + x**11 * y**11
         handed = _dict_path_calls(monkeypatch)
-        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
         packed, plain, _ = _both_paths(monkeypatch, lhs, [x + y])
-        assert handed == [x + y]  # only the dict path's own call
+        assert handed == [x + y]  # only the dict route's own call
         assert packed == plain == "test: factor '1 * x + 1 * y' does not divide exactly"
 
     def test_coefficient_bound_past_int64_takes_the_dict_path(self, monkeypatch):
@@ -472,9 +505,8 @@ class TestLevelDivision:
         lhs = factor * q
         assert polys._int64_layout([[lhs]]) is not None
         handed = _dict_path_calls(monkeypatch)
-        monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
         packed, plain, _ = _both_paths(monkeypatch, lhs, [factor])
-        assert len(handed) == 2  # the packed route's, then the dict path's own
+        assert len(handed) == 2  # the int64 route's fallback, then the dict route
         assert packed == plain
         assert packed.quotient == q
 
@@ -487,9 +519,44 @@ class TestLevelDivision:
             f = SparsePoly(table, _random_terms(rng, 3, rng.randint(1, 8), 4, 9))
             q = SparsePoly(table, _random_terms(rng, 3, 25, 5, 20))
             for lhs, factor in [(f * q, f), (f * q + 1, f), (f * q, f.scale(2))]:
-                monkeypatch.setattr(polys, "_INT64_MIN_TERMS", 0)
                 packed, plain, _ = _both_paths(monkeypatch, lhs, [factor])
                 assert packed == plain
+
+    @pytest.mark.parametrize(
+        "cause", ["fraction-factor", "weight-test", "coefficient-bound", "carrying-product"]
+    )
+    def test_fallback_reruns_the_certificate_on_the_dict_route(self, monkeypatch, cause):
+        # Each cause sends the int64 route back to lhs, decoded, on the dict
+        # route: the same certificate, and the same error text for an lhs
+        # the factor does not divide; the arrays never re-multiply.
+        table = VarTable(["x", "y"])
+        x, y = (SparsePoly.variable(table, v) for v in table.names)
+        q = SparsePoly(table, _random_terms(random.Random(215), 2, 30, 6, 50))
+        factor = x + 2 * y
+        if cause == "fraction-factor":
+            factor, q = factor.scale(Fraction(1, 2)), q.scale(2)
+        elif cause == "weight-test":
+            factor = x * y + y**2
+        elif cause == "coefficient-bound":  # as in the test above
+            factor = 3 * x - 3 * y
+            q = sum((x**i * y ** (4 - i) for i in range(5)), SparsePoly.zero(table)).scale(2**60)
+        else:
+            divide = polys._Int64Layout.divide
+
+            def with_top_digit(layout, packed, f):  # makes the product's x digit carry
+                out = divide(layout, packed, f)
+                top = (layout.radices[0] - 1) * layout.places[0]
+                return out and tuple(map(polys.np.append, out, (top, 1)))
+
+            monkeypatch.setattr(polys._Int64Layout, "divide", with_top_digit)
+        lhs = factor * q
+        handed = _dict_path_calls(monkeypatch)
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [factor])
+        assert len(handed) == 2 and calls == 0  # the fallback, then the dict route
+        assert packed == plain and packed.quotient == q
+        packed, plain, calls = _both_paths(monkeypatch, lhs + x**3 * y**9, [factor])
+        assert packed == plain == f"test: factor {factor.to_text()[:80]!r} does not divide exactly"
+        assert calls == 0
 
 
 @pytest.mark.skipif(
@@ -498,8 +565,8 @@ class TestLevelDivision:
 def test_generic_five_body_certificate():
     """factor_nbody(5) with generic masses: the full certificate, and sigma
     against `nbody_sigma_value` (the Bareiss kernel, no shared expansion
-    code) at 3 seeded rational points.  About 16 s and a peak RSS of
-    0.9 GB on a 2-core x86-64 box (Python 3.11, numpy 2.4)."""
+    code) at 3 seeded rational points.  About 12 s and a peak RSS of
+    1.04 GB on a 2-core x86-64 box (Python 3.11, numpy 2.4)."""
     cert = factor_nbody(5, long_running=True)
     assert cert.verified
     assert len(cert.quotient.terms) == 34680

@@ -433,7 +433,6 @@ def _int64_calls(monkeypatch) -> list:
 
 def _dict_step_only(monkeypatch):
     monkeypatch.setattr(polys, "_INT64_MIN_ROWS", float("inf"))
-    monkeypatch.setattr(polys, "_INT64_MIN_TERMS", float("inf"))
 
 
 def _int_matrix(seed: int, m: int):
@@ -467,7 +466,7 @@ class TestInt64Accumulate:
 
     def test_large_products_match_the_dict_step(self, monkeypatch):
         # A certificate's re-multiplication is the int64 step's one large
-        # product: here 420 x 380 terms, against lhs from the dict step.
+        # product: here 420 x 380 terms, against the same lhs on dicts.
         table = VarTable(["w", "x", "y", "z"])
         rng = random.Random(31)
         factors = []
@@ -479,13 +478,13 @@ class TestInt64Accumulate:
             factors.append(SparsePoly(table, terms))
         p, q = factors
         lhs = p * q
-        assert len(lhs.terms) >= polys._INT64_MIN_TERMS
+        layout = polys._int64_layout([[lhs]])
+        packed = polys._PackedPoly(lhs.table, layout, layout.pack(lhs.terms))
         calls = _int64_calls(monkeypatch)
-        quotient, failed = polys.divide_out(lhs, [p])
+        quotient, failed = polys.divide_out(packed, [p])
         assert failed is None and calls == [1]
         assert quotient.terms == q.terms
         assert {type(c) for c in quotient.terms.values()} == {int}
-        _dict_step_only(monkeypatch)
         assert polys.divide_out(lhs, [p]) == (quotient, None)
         assert calls == [1]
 
@@ -522,7 +521,7 @@ class TestInt64Accumulate:
         calls = _int64_calls(monkeypatch)
         lhs = p * q
         assert lhs.terms == _oracle_mul(p.terms, q.terms)
-        assert len(lhs.terms) >= polys._INT64_MIN_TERMS
+        assert polys._int64_layout([[lhs]]) is None  # so no int64 lhs reaches divide_out
         assert polys.divide_out(lhs, [p]) == (q, None)
         assert calls == []
 
