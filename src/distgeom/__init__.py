@@ -8,6 +8,8 @@ form identities), and exact symbolic factorization of the structured
 determinants with verified certificates.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     DimensionMismatch,
     DistanceVector,
@@ -74,74 +76,12 @@ from .factorization import (
     symbolic_bordered_masses_det,
     symbolic_cm_det,
     symbolic_nbody_det,
-    w_matches_minus_nbody,
 )
 
 __version__ = "0.1.0"
 
+# The public names are the ones the imports above bind, less the submodules.
 __all__ = [
-    "DefinitenessReport",
-    "DimensionMismatch",
-    "DistanceVector",
-    "DistgeomError",
-    "EmbeddingResult",
-    "FactorizationCertificate",
-    "GenericEntryTable",
-    "IdentityReport",
-    "InputFormatError",
-    "MassParams",
-    "Matrix",
-    "MEMBER_BOUNDARY",
-    "MEMBER_INTERIOR",
-    "MEMBER_OUTSIDE",
-    "NotEmbeddableError",
-    "PairIndex",
-    "PairSpace",
-    "PointConfiguration",
-    "ResourceCapError",
-    "SignDictionaryReport",
-    "SparsePoly",
-    "VarTable",
-    "VerificationError",
-    "VERDICT_INDEFINITE",
-    "VERDICT_PD",
-    "VERDICT_PSD",
-    "affine_rank",
-    "annihilates",
-    "biquadratic_form",
-    "bordered",
-    "cayley_menger",
-    "cone_membership",
-    "definiteness",
-    "determinant",
-    "distances",
-    "edm",
-    "edm_quadratic_form",
-    "elementary_symmetric",
-    "embed",
-    "exact_divide",
-    "factor_nbody",
-    "factor_w",
-    "gram_quadratic_form",
-    "heron_check",
-    "is_singular",
-    "kernel_witness",
-    "lift_reduced",
-    "mass_distance_table",
-    "mass_quadratic_form",
-    "nbody_matrix",
-    "nbody_quartic_form",
-    "nbody_sigma_value",
-    "pair_products",
-    "poly_det",
-    "reduced_edm",
-    "reduced_quadratic_form",
-    "sign_dictionary",
-    "simplex_volume_sq",
-    "symbolic_bordered_masses_det",
-    "symbolic_cm_det",
-    "symbolic_nbody_det",
-    "variables",
-    "w_matches_minus_nbody",
-    "w_matrix",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -19,6 +19,7 @@ from .core import (
     alpha_values,
     json_natural,
 )
+from .polys import SparsePoly
 from .scalars import coerce_json_number, format_number
 
 
@@ -53,9 +54,6 @@ class Matrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def to_lists(self) -> list[list]:
         return [list(row) for row in self.data]
 
@@ -69,20 +67,6 @@ class Matrix:
             self.data[i][j] == self.data[j][i]
             for i in range(self.nrows)
             for j in range(i + 1, self.ncols)
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
-
-    def map(self, fn) -> "Matrix":
-        return Matrix(
-            [[fn(x) for x in row] for row in self.data],
-            row_labels=self.row_labels,
-            col_labels=self.col_labels,
         )
 
     def matvec(self, vec) -> list:
@@ -105,8 +89,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
     def to_json_dict(self) -> dict:
-        from .polys import SparsePoly
-
         entries = []
         symbolic = None
         for row in self.data:
@@ -136,8 +118,6 @@ class Matrix:
 
 
 def _is_zero(value) -> bool:
-    from .polys import SparsePoly
-
     if isinstance(value, SparsePoly):
         return value.is_zero()
     return value == 0

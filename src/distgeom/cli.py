@@ -214,7 +214,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    given = {"seed": args.seed, "samples": args.samples, "n_max": args.n, "tol": args.tol}
+    given = {"seed": args.seed, "samples": args.samples, "n_max": args.n}
     options = {k: given[k] for k in suites.SUITES[args.suite] if given[k] is not None}
     result = getattr(suites, f"{args.suite}_suite")(**options)
     verdict = f"{result.name}: {'pass' if result.ok else 'fail'}"

@@ -138,9 +138,6 @@ class PairSpace:
             raise ValueError(f"pair {(i, j)} not in a space on {self.n} points")
         return k
 
-    def unrank(self, k: int) -> PairIndex:
-        return self._pairs[k]
-
     def __iter__(self):
         return iter(self._pairs)
 

@@ -277,12 +277,12 @@ class SignDictionaryReport:
         )
 
 
-def sign_dictionary(n: int, long_running: bool = False) -> SignDictionaryReport:
+def sign_dictionary(n: int) -> SignDictionaryReport:
     """Verify, exactly and symbolically, the sign conventions relating the
     generalized pair-product matrix to the interaction matrix (2 <= n <= 4)."""
     if not 2 <= n <= 4:
         raise ResourceCapError(f"sign dictionary is symbolic and capped at n <= 4, got {n}")
-    cert = factor_nbody(n, long_running=long_running)
+    cert = factor_nbody(n)
     table = cert.lhs.table
     w_spec, entrywise_ok = specialized_w(
         symbolic_masses(table, n), symbolic_squared_distances(table, n)
@@ -318,11 +318,6 @@ def specialized_w(alpha, r: DistanceVector):
     )
     b = nbody_matrix(values, r)
     return w, all(w[a, c] == -b[a, c] for a in range(w.nrows) for c in range(w.ncols))
-
-
-def w_matches_minus_nbody(alpha, r: DistanceVector) -> bool:
-    """Numeric/exact spot check of the entrywise reduction at given values."""
-    return specialized_w(alpha, r)[1]
 
 
 def nbody_sigma_value(alpha, r: DistanceVector):

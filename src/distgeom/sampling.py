@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .builders import GenericEntryTable
-from .core import PointConfiguration, affine_rank, is_singular
+from .core import PointConfiguration, affine_rank, distances, is_singular
 
 
 def random_fraction(rng: random.Random, span: int = 6, denominator: int = 2) -> Fraction:
@@ -105,7 +105,5 @@ def random_singular_entry_table(rng: random.Random, n: int) -> GenericEntryTable
     Built from squared distances of points in dimension <= n-2, which is
     exactly the singular case for bordered squared-distance tables.
     """
-    from .core import distances
-
     cfg = random_singular_configuration(rng, n)
     return GenericEntryTable.from_distance_vector(distances(cfg))

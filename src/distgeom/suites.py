@@ -19,7 +19,6 @@ from .analysis import (
     VERDICT_PD,
     biquadratic_form,
     cone_membership,
-    definiteness,
     edm_quadratic_form,
     embed,
     gram_quadratic_form,
@@ -83,19 +82,14 @@ def _require_points(n_max: int, least: int = 2):
 
 
 def signs_suite(
-    seed: int = 0,
-    samples: int = 200,
-    singular_samples: int = 50,
-    n_max: int = 6,
-    tol: float = 1e-10,
+    seed: int = 0, samples: int = 200, singular_samples: int = 50, n_max: int = 6
 ) -> SuiteResult:
     """Positivity of the interaction matrix and the exact sign ladder.
 
     For nonsingular configurations with positive mass parameters: the
-    interaction matrix is numerically positive definite, and the exact
-    values satisfy det B > 0, e_{n-1} > 0, (-1)^n delta > 0 and
-    (-1)^n sigma > 0.  Constructed singular configurations make det B
-    exactly zero.
+    interaction matrix is exactly positive definite, and the exact values
+    satisfy det B > 0, e_{n-1} > 0, (-1)^n delta > 0 and (-1)^n sigma > 0.
+    Constructed singular configurations make det B exactly zero.
     """
     _require_points(n_max)
     rng = random.Random(seed)
@@ -106,16 +100,11 @@ def signs_suite(
         cfg = sampling.random_nonsingular_configuration(rng, n)
         r = distances(cfg)
         alpha = sampling.random_positive_alpha(rng, n)
-        b = nbody_matrix(alpha, r)
-        report = definiteness(b.map(float), tol)
-        if report.verdict != VERDICT_PD:
-            eig = report.min_eigenvalue
-            failures.append(
-                f"sample {idx}: n={n} interaction matrix not numerically PD "
-                f"(min eigenvalue {'n/a' if eig is None else f'{eig:.3e}'})"
-            )
+        rows = nbody_matrix(alpha, r).to_lists()
+        if exact.psd_verdict(rows)[0] != VERDICT_PD:
+            failures.append(f"sample {idx}: n={n} interaction matrix not positive definite")
             continue
-        det_b = exact.det(b.to_lists())
+        det_b = exact.det(rows)
         delta = exact.det(cayley_menger(r).to_lists())
         e_val = elementary_symmetric(n - 1, alpha)
         sign = -1 if n % 2 else 1
@@ -463,7 +452,7 @@ def content_suite(n_values=(2, 3, 4)) -> SuiteResult:
 # Callers look the function up by name at each call, so a wrapper installed
 # on the module attribute sees every run.
 SUITES = {
-    "signs": ("seed", "samples", "n_max", "tol"),
+    "signs": ("seed", "samples", "n_max"),
     "cmdk": ("seed", "samples", "n_max"),
     "roundtrip": ("seed", "samples", "n_max"),
     "forms": ("seed", "samples"),

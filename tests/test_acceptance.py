@@ -194,13 +194,11 @@ def test_07_reduced_determinant_identity():
 
 def test_08_sign_ladder():
     # 200 nonsingular configurations with positive masses: interaction
-    # matrix positive definite (min eigenvalue above 1e-10 of scale) and
-    # the exact sign ladder holds; 50 singular configurations: the
-    # interaction determinant is exactly zero.
+    # matrix exactly positive definite and the exact sign ladder holds;
+    # 50 singular configurations: the interaction determinant is exactly
+    # zero.
     with criterion(8, "sign-ladder", budget=60.0):
-        result = signs_suite(
-            seed=0, samples=200, singular_samples=50, n_max=6, tol=1e-10,
-        )
+        result = signs_suite(seed=0, samples=200, singular_samples=50, n_max=6)
         assert result.ok, result.lines
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from distgeom import sampling, suites
+from distgeom import exact, sampling, suites
 from distgeom.cli import build_parser, main
 from distgeom.suites import SUITES, signs_suite
 
@@ -249,8 +249,8 @@ class TestVerify:
         params = inspect.signature(getattr(suites, f"{name}_suite")).parameters
         assert set(SUITES[name]) <= set(params)
 
-    # The CLI passes --seed and --tol always, so their defaults must be the
-    # ones each suite function declares; --samples and --n only when given.
+    # The CLI passes --seed always, so its default must be the one each
+    # suite function declares; --samples and --n only when given.
     @pytest.mark.parametrize("name", list(SUITES))
     def test_cli_defaults_are_the_suite_defaults(self, capsys, monkeypatch, name):
         suite = getattr(suites, f"{name}_suite")
@@ -288,6 +288,16 @@ class TestVerify:
         assert not result.ok
         assert [line.split(":")[1] for line in result.lines] == [
             f" n={n} det B is not zero" for n in range(2, 8)
+        ]
+
+    def test_signs_suite_fails_on_a_wrong_definiteness_verdict(self, monkeypatch):
+        # Every sample answered PSD, rank one short: each must fail on its own.
+        monkeypatch.setattr(exact, "psd_verdict", lambda rows: (exact.VERDICT_PSD, len(rows) - 1))
+        result = signs_suite(samples=5, singular_samples=0, n_max=3)
+        assert not result.ok
+        assert result.lines == [
+            f"sample {idx}: n={2 + idx % 2} interaction matrix not positive definite"
+            for idx in range(5)
         ]
 
     def test_signs_suite_without_samples_fails(self):
@@ -620,6 +630,7 @@ run("factor", "--n", "3")
 run("factor", "--n", "4")
 run("factor", "--family", "w", "--n", "3")
 run("verify", "cmdk", "--samples", "2")
+run("verify", "signs", "--samples", "5")
 assert "numpy" not in sys.modules, "an exact subcommand loaded numpy"
 run("embed", "--r", "1,1,1")
 assert "numpy" in sys.modules, "embed ran without numpy"

@@ -1,10 +1,12 @@
 """Domain-type tests: pair indexing, distances, configurations, masses."""
 
+import inspect
 import json
 import math
 import random
 import re
 import time
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -56,11 +58,10 @@ class TestPairSpace:
             assert list(space.pairs) == expected
             assert space.size == n * (n - 1) // 2
 
-    def test_rank_unrank_roundtrip(self):
+    def test_rank_matches_pair_order(self):
         space = PairSpace(7)
         for k, pair in enumerate(space.pairs):
             assert space.rank(pair) == k
-            assert space.unrank(k) == pair
 
     def test_rank_rejects_foreign_pair(self):
         with pytest.raises(ValueError):
@@ -381,3 +382,26 @@ class TestMassParams:
     def test_needs_entries(self):
         with pytest.raises(DimensionMismatch):
             MassParams(())
+
+
+class TestPublicNames:
+    def test_star_import_binds_exactly_all_and_no_module(self):
+        import distgeom
+
+        namespace = {}
+        exec("from distgeom import *", namespace)
+        namespace.pop("__builtins__")
+        assert namespace and sorted(namespace) == sorted(distgeom.__all__)
+        assert not [v for v in namespace.values() if isinstance(v, types.ModuleType)]
+
+    def test_removed_names_are_gone(self):
+        import distgeom
+        from distgeom import Matrix, sign_dictionary, suites
+
+        assert not hasattr(distgeom, "w_matches_minus_nbody")
+        assert not hasattr(distgeom.factorization, "w_matches_minus_nbody")
+        for name in ("row", "transpose", "map"):
+            assert not hasattr(Matrix, name)
+        assert not hasattr(PairSpace, "unrank")
+        assert "long_running" not in inspect.signature(sign_dictionary).parameters
+        assert "tol" not in inspect.signature(suites.signs_suite).parameters

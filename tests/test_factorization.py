@@ -21,7 +21,6 @@ from distgeom import (
     sign_dictionary,
     symbolic_cm_det,
     symbolic_nbody_det,
-    w_matches_minus_nbody,
 )
 from distgeom import polys, sampling
 from distgeom.core import VerificationError
@@ -31,6 +30,7 @@ from distgeom.factorization import (
     mass_distance_table,
     pair_table,
     specialize_to_masses_and_distances,
+    specialized_w,
     symbolic_bordered_masses_det,
 )
 from distgeom.polys import SparsePoly, VarTable
@@ -661,7 +661,7 @@ class TestSignDictionary:
             cfg = sampling.random_nonsingular_configuration(rng, n, n - 1)
             r = distances(cfg)
             alpha = sampling.random_positive_alpha(rng, n)
-            assert w_matches_minus_nbody(alpha, r)
+            assert specialized_w(alpha, r)[1]
 
 
 class TestSigmaValue:
