@@ -74,7 +74,7 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length must equal the column count")
         return [
-            sum(entry * x for entry, x in zip(row, vec) if not _is_zero(entry))
+            sum(entry * x for entry, x in zip(row, vec) if entry != 0)
             for row in self.data
         ]
 
@@ -115,12 +115,6 @@ class Matrix:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-
-def _is_zero(value) -> bool:
-    if isinstance(value, SparsePoly):
-        return value.is_zero()
-    return value == 0
 
 
 class GenericEntryTable:

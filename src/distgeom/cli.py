@@ -208,13 +208,13 @@ def _cmd_factor(args) -> int:
             long_running=args.long_running,
         )
     else:
-        cert = factor_w(args.n, long_running=args.long_running)
+        cert = factor_w(args.n)
     _emit(lambda: json.dumps(cert.to_json_dict()), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    given = {"seed": args.seed, "samples": args.samples, "n_max": args.n}
+    given = {"seed": args.seed, "samples": args.samples, "n_max": args.n, "tol": args.tol}
     options = {k: given[k] for k in suites.SUITES[args.suite] if given[k] is not None}
     result = getattr(suites, f"{args.suite}_suite")(**options)
     verdict = f"{result.name}: {'pass' if result.ok else 'fail'}"
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=_samples)
     _add_common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, tol=None)  # no --tol: a suite keeps its own
 
     return parser
 

@@ -39,9 +39,7 @@ from .polys import SparsePoly, VarTable, divide_out, exact_divide, poly_det
 from .scalars import all_exact
 
 SYMBOLIC_CAP = 5
-LONG_RUNNING_THRESHOLD = 5
-DEFAULT_W_CAP = 3
-LONG_RUNNING_W_CAP = 4
+W_CAP = 3
 
 
 def mass_distance_table(n: int, equal_masses: bool = False) -> VarTable:
@@ -111,15 +109,15 @@ def symbolic_nbody_det(
 ) -> SparsePoly:
     """Fully symbolic determinant of the pair-indexed interaction matrix.
 
-    Guarded by a size cap of 5, checked before any table is built; n >= 5
-    additionally requires long_running=True because the expansion is large.
+    Guarded by a size cap of 5, checked before any table is built; n at
+    the cap itself requires long_running=True because the expansion is large.
     """
     if not 2 <= n <= SYMBOLIC_CAP:
         raise ResourceCapError(
             "symbolic interaction determinant capped at "
             f"2 <= n <= {SYMBOLIC_CAP}, got {n}"
         )
-    if n >= LONG_RUNNING_THRESHOLD and not long_running:
+    if n == SYMBOLIC_CAP and not long_running:
         raise ResourceCapError(
             f"n = {n} is a long computation; pass long_running=True to proceed"
         )
@@ -205,14 +203,13 @@ def factor_nbody(
     return _certified_split("nbody", n, lhs, [e_factor, delta])
 
 
-def factor_w(n: int, long_running: bool = False) -> FactorizationCertificate:
+def factor_w(n: int) -> FactorizationCertificate:
     """Split the generalized pair-product determinant into the two bordered
-    table determinants times a quotient, over fully generic tables."""
-    cap = LONG_RUNNING_W_CAP if long_running else DEFAULT_W_CAP
-    if not 2 <= n <= cap:
-        hint = "" if long_running else "; pass long_running=True for n = 4"
+    table determinants times a quotient, over fully generic tables.  Capped
+    at n = 3 before any table is built: n = 4 would need 2^64 keys."""
+    if not 2 <= n <= W_CAP:
         raise ResourceCapError(
-            f"generalized determinant capped at 2 <= n <= {cap}, got {n}{hint}"
+            f"generalized determinant capped at 2 <= n <= {W_CAP}, got {n}"
         )
     table = pair_table(n)
     s = symbolic_entry_table(table, n, "s")
@@ -299,7 +296,7 @@ def sign_dictionary(n: int) -> SignDictionaryReport:
     expected = z_spec if (pairs + 1) % 2 == 0 else -z_spec
     quotient_ok = cert.quotient == expected
     substitution_ok = True
-    if n <= DEFAULT_W_CAP:
+    if n <= W_CAP:
         w_cert = factor_w(n)
         z_sub = specialize_to_masses_and_distances(w_cert.quotient, n, table)
         substitution_ok = z_sub == z_spec

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .scalars import np
+from .scalars import is_exact, np
 
 
 class VarTable:
@@ -84,10 +84,6 @@ class VarTable:
 
 def _grlex_key(exp):
     return (sum(exp), exp)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def _canonical(coeff):
@@ -406,7 +402,7 @@ class SparsePoly:
             raise ValueError("polynomials live on different variable tables")
 
     def __add__(self, other):
-        if _is_number(other):
+        if is_exact(other):
             other = SparsePoly.const(self.table, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
@@ -426,7 +422,7 @@ class SparsePoly:
         return SparsePoly._raw(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if _is_number(other):
+        if is_exact(other):
             other = SparsePoly.const(self.table, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
@@ -436,7 +432,7 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_number(other):
+        if is_exact(other):
             if not other:
                 return SparsePoly.zero(self.table)
             return SparsePoly._raw(
@@ -474,7 +470,7 @@ class SparsePoly:
     def __eq__(self, other):
         if isinstance(other, SparsePoly):
             return self.table == other.table and self.terms == other.terms
-        if _is_number(other):
+        if is_exact(other):
             if not other:
                 return not self.terms
             return self.terms == {(0,) * len(self.table): other}

@@ -454,8 +454,8 @@ def content_suite(n_values=(2, 3, 4)) -> SuiteResult:
 SUITES = {
     "signs": ("seed", "samples", "n_max"),
     "cmdk": ("seed", "samples", "n_max"),
-    "roundtrip": ("seed", "samples", "n_max"),
-    "forms": ("seed", "samples"),
+    "roundtrip": ("seed", "samples", "n_max", "tol"),
+    "forms": ("seed", "samples", "tol"),
     "menger": ("seed", "samples", "n_max"),
     "signdict": ("seed", "samples"),
     "heron": (),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from distgeom import exact, sampling, suites
+from distgeom import exact, factorization, sampling, suites
 from distgeom.cli import build_parser, main
 from distgeom.suites import SUITES, signs_suite
 
@@ -192,8 +192,18 @@ class TestFactor:
     def test_long_running_gate_exits_four(self, capsys):
         code, _, _ = _run(capsys, "factor", "--n", "5")
         assert code == 4
-        code, _, _ = _run(capsys, "factor", "--n", "4", "--family", "w")
-        assert code == 4
+
+    # W has one cap: --long-running (n-body n = 5 only) does not lift it, and
+    # the refusal comes before any expansion.
+    @pytest.mark.parametrize("extra", [(), ("--long-running",)])
+    def test_w_past_its_cap_is_refused_before_expanding(self, capsys, monkeypatch, extra):
+        def expand(matrix):
+            raise AssertionError("poly_det reached past the W cap")
+
+        monkeypatch.setattr(factorization, "poly_det", expand)
+        code, out, err = _run(capsys, "factor", "--family", "w", "--n", "4", *extra)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == ["error: generalized determinant capped at 2 <= n <= 3, got 4"]
 
 
 class TestVerify:
@@ -213,6 +223,26 @@ class TestVerify:
         )
         assert code == 0
         assert "cmdk: pass" in out
+
+    def test_tol_sets_the_roundtrip_tolerance(self, capsys):
+        args = ("verify", "roundtrip", "--samples", "5")
+        code, default, _ = _run(capsys, *args)
+        assert code == 0 and "within 1e-09" in default
+        code, out, _ = _run(capsys, *args, "--tol", "1e-3")
+        assert code == 0
+        assert out == default.replace("within 1e-09", "within 1e-03")
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_tol_reaches_exactly_the_suites_that_take_one(self, capsys, monkeypatch, name):
+        calls = []
+        monkeypatch.setattr(
+            suites, f"{name}_suite", lambda **kw: calls.append(kw) or suites.SuiteResult(name, True)
+        )
+        assert _run(capsys, "verify", name, "--tol", "0.5")[0] == 0
+        assert _run(capsys, "verify", name)[0] == 0
+        with_tol, without = calls
+        assert with_tol.get("tol") == (0.5 if "tol" in SUITES[name] else None)
+        assert "tol" not in without
 
     def test_seeded_runs_are_reproducible(self, capsys):
         args = ("verify", "signs", "--samples", "5", "--n", "4", "--seed", "11")
@@ -618,6 +648,7 @@ class TestTolerance:
 
 IMPORT_PROBE = """
 import contextlib, io, sys
+from distgeom import factorization
 from distgeom.cli import main
 
 def run(*argv):
@@ -631,6 +662,9 @@ run("factor", "--n", "4")
 run("factor", "--family", "w", "--n", "3")
 run("verify", "cmdk", "--samples", "2")
 run("verify", "signs", "--samples", "5")
+with contextlib.redirect_stderr(io.StringIO()):
+    factorization.poly_det = None  # W past its cap must stop before expanding
+    assert main(["factor", "--family", "w", "--n", "4", "--long-running"]) == 4
 assert "numpy" not in sys.modules, "an exact subcommand loaded numpy"
 run("embed", "--r", "1,1,1")
 assert "numpy" in sys.modules, "embed ran without numpy"

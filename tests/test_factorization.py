@@ -1,5 +1,6 @@
 """Symbolic determinant splits, sign conventions, and kernel witnesses."""
 
+import inspect
 import os
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from distgeom import (
     symbolic_cm_det,
     symbolic_nbody_det,
 )
-from distgeom import polys, sampling
+from distgeom import factorization, polys, sampling
 from distgeom.core import VerificationError
 from distgeom.factorization import (
     _certified_split,
@@ -626,12 +627,16 @@ class TestCaps:
             factor_nbody(5)
         assert "long" in str(info.value).lower() or "5" in str(info.value)
 
-    def test_w_caps(self):
-        with pytest.raises(ResourceCapError) as info:
-            factor_w(4)
-        assert "long_running" in str(info.value)
-        with pytest.raises(ResourceCapError):
-            factor_w(5, long_running=True)
+    def test_w_caps(self, monkeypatch):
+        # One cap, with no opt-in past it; refused before any expansion.
+        assert "long_running" not in inspect.signature(factor_w).parameters
+        monkeypatch.setattr(factorization, "poly_det", None)
+        for n in (4, 5):
+            with pytest.raises(ResourceCapError) as info:
+                factor_w(n)
+            assert str(info.value) == f"generalized determinant capped at 2 <= n <= 3, got {n}"
+        with pytest.raises(TypeError):
+            factor_w(4, long_running=True)
 
     def test_lower_bounds(self):
         # The cap is checked before the pair space, which refuses n < 1.
