@@ -31,8 +31,7 @@ from .core import (
     alpha_values,
 )
 from .exact import VERDICT_INDEFINITE, VERDICT_PD, VERDICT_PSD
-from .polys import SparsePoly, poly_det
-from .scalars import all_exact, np, rational, to_double
+from .scalars import all_exact, is_symbolic, np, rational, to_double
 
 MEMBER_INTERIOR = "interior"
 MEMBER_BOUNDARY = "boundary"
@@ -44,7 +43,7 @@ def _rows(matrix) -> list[list]:
 
 
 def _classify(rows) -> str:
-    if any(isinstance(v, SparsePoly) for row in rows for v in row):
+    if any(is_symbolic(v) for row in rows for v in row):
         return "symbolic"
     return "exact" if all(all_exact(row) for row in rows) else "numeric"
 
@@ -62,6 +61,8 @@ def determinant(matrix):
         raise DimensionMismatch("determinant requires a square matrix")
     regime = _classify(rows)
     if regime == "symbolic":
+        from .polys import poly_det
+
         return poly_det(rows)
     if regime == "exact":
         return exact.det(rows)
@@ -74,9 +75,10 @@ def determinant(matrix):
     return value
 
 
-def _doubles(rows):
-    """rows as a float array; ValueError for entries no finite double holds."""
-    return np.array([[to_double(v, "matrix entry") for v in row] for row in rows])
+def _doubles(rows) -> list[list[float]]:
+    """rows as lists of doubles; ValueError for entries no finite double
+    holds.  Lists, not an array, so that a refusal never loads numpy."""
+    return [[to_double(v, "matrix entry") for v in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def _float_min_eigenvalue(rows) -> float | None:
         a = _doubles(rows)
     except ValueError:
         return None
-    if not a.all() and any(v and not float(v) for row in rows for v in row):
+    if any(v and not d for row, doubles in zip(rows, a) for v, d in zip(row, doubles)):
         return None
     eig = float(np.linalg.eigvalsh(a)[0])
     return eig if math.isfinite(eig) else None
@@ -130,7 +132,7 @@ def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
             raise ValueError("matrix is not symmetric")
         verdict, rank = exact.psd_verdict(rows)
         return DefinitenessReport(verdict, _float_min_eigenvalue(rows), rank, tol, True)
-    a = _doubles(rows)
+    a = np.array(_doubles(rows))
     scale = float(np.max(np.abs(a)))
     if not np.allclose(a, a.T, atol=tol * max(scale, 1.0), rtol=0.0):
         raise ValueError("matrix is not symmetric beyond tolerance")
@@ -213,7 +215,7 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
         if not m.all() and any(v and not v / scale for row in rows for v in row):
             raise ValueError("nonzero matrix entry underflows to 0.0 in doubles")
     else:
-        m = _doubles(reduced_edm(r, n - 1).to_lists())
+        m = np.array(_doubles(reduced_edm(r, n - 1).to_lists()))
     m = (m + m.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(m)
     thr = tol * max(float(np.max(np.abs(eigvals))), 1.0) if eigvals.size else 0.0

@@ -19,8 +19,7 @@ from .core import (
     alpha_values,
     json_natural,
 )
-from .polys import SparsePoly
-from .scalars import coerce_json_number, format_number
+from .scalars import coerce_json_number, format_number, is_symbolic
 
 
 class Matrix:
@@ -94,7 +93,7 @@ class Matrix:
         for row in self.data:
             out_row = []
             for value in row:
-                if isinstance(value, SparsePoly):
+                if is_symbolic(value):
                     symbolic = value.table
                     out_row.append(value.to_text())
                 else:

@@ -16,15 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import MEMBER_OUTSIDE, MEMBERSHIP, definiteness, determinant, embed
-from .builders import (
-    GenericEntryTable,
-    cayley_menger,
-    edm,
-    nbody_matrix,
-    reduced_edm,
-    w_matrix,
-)
 from .core import (
     DimensionMismatch,
     DistanceVector,
@@ -35,15 +26,33 @@ from .core import (
     VerificationError,
     distances,
 )
-from .factorization import factor_nbody, factor_w
 from .scalars import format_number, loads_with_exact_numbers, parse_number
-from . import suites
+
+# Each verb imports the layers it runs inside its function, after its input
+# parses where it can: a cold process compiles only what the verb runs.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_RESOURCE = 4
+
+# `verify` suite name -> the command-line options its `suites.<name>_suite`
+# takes; the other options are not passed.  The function is looked up by
+# name at each call, so a wrapper installed on the module attribute sees
+# every run.
+SUITES = {
+    "signs": ("seed", "samples", "n_max"),
+    "cmdk": ("seed", "samples", "n_max"),
+    "roundtrip": ("seed", "samples", "n_max", "tol"),
+    "forms": ("seed", "samples", "tol"),
+    "menger": ("seed", "samples", "n_max"),
+    "signdict": ("seed", "samples"),
+    "heron": (),
+    "kernel": ("seed", "samples", "n_max"),
+    "content": (),
+}
+
 
 def _infer_n_from_pairs(count: int) -> int:
     n = (1 + math.isqrt(1 + 8 * count)) // 2
@@ -101,7 +110,9 @@ def _load_distance_vector(args, exact: bool) -> DistanceVector:
     return distances(cfg)
 
 
-def _load_entry_table(path: str, exact: bool) -> GenericEntryTable:
+def _load_entry_table(path: str, exact: bool):
+    from .builders import GenericEntryTable
+
     text = _read_text(path)
     try:
         doc = loads_with_exact_numbers(text, exact)
@@ -115,6 +126,8 @@ def _load_entry_table(path: str, exact: bool) -> GenericEntryTable:
 
 
 def _build_matrix(args, exact: bool):
+    from .builders import cayley_menger, edm, nbody_matrix, reduced_edm, w_matrix
+
     kind = args.kind
     if kind == "w":
         if not args.s or not args.t:
@@ -166,6 +179,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_det(args) -> int:
     matrix = _build_matrix(args, args.mode == "exact")
+    from .analysis import determinant
+
     try:
         value = determinant(matrix)
     except OverflowError as exc:
@@ -176,6 +191,9 @@ def _cmd_det(args) -> int:
 
 def _cmd_check(args) -> int:
     r = _load_distance_vector(args, args.mode == "exact")
+    from .analysis import MEMBER_OUTSIDE, MEMBERSHIP, definiteness
+    from .builders import reduced_edm
+
     report = definiteness(reduced_edm(r, r.n - 1), args.tol)
     membership = MEMBERSHIP[report.verdict]
     min_eig = report.min_eigenvalue
@@ -190,6 +208,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_embed(args) -> int:
     r = _load_distance_vector(args, args.mode == "exact")
+    from .analysis import embed
+
     try:
         result = embed(r, args.tol)
     except NotEmbeddableError as exc:
@@ -201,6 +221,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from .factorization import factor_nbody, factor_w
+
     if args.family == "nbody":
         cert = factor_nbody(
             args.n,
@@ -214,8 +236,10 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import suites
+
     given = {"seed": args.seed, "samples": args.samples, "n_max": args.n, "tol": args.tol}
-    options = {k: given[k] for k in suites.SUITES[args.suite] if given[k] is not None}
+    options = {k: given[k] for k in SUITES[args.suite] if given[k] is not None}
     result = getattr(suites, f"{args.suite}_suite")(**options)
     verdict = f"{result.name}: {'pass' if result.ok else 'fail'}"
     _emit(lambda: "\n".join([*result.lines, verdict]), args.out)
@@ -294,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.set_defaults(func=_cmd_factor)
 
     p_verify = sub.add_parser("verify", help="run a randomized verification suite")
-    p_verify.add_argument("suite", choices=tuple(suites.SUITES))
+    p_verify.add_argument("suite", choices=tuple(SUITES))
     p_verify.add_argument("--n", type=int, help="largest point count to sample")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=_samples)

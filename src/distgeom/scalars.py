@@ -17,6 +17,7 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import sys
 import types
 from fractions import Fraction
 
@@ -49,6 +50,13 @@ def is_exact(value) -> bool:
 
 def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def is_symbolic(value) -> bool:
+    """True for a `polys.SparsePoly`.  None exists before that module is
+    loaded, so the class is read from sys.modules, never imported here."""
+    polys = sys.modules.get(f"{__package__}.polys")
+    return polys is not None and isinstance(value, polys.SparsePoly)
 
 
 def _unsigned(text: str) -> str:

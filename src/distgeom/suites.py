@@ -447,18 +447,3 @@ def content_suite(n_values=(2, 3, 4)) -> SuiteResult:
         len(n_values),
     )
 
-
-# `verify` suite name -> the command-line options its `<name>_suite` takes.
-# Callers look the function up by name at each call, so a wrapper installed
-# on the module attribute sees every run.
-SUITES = {
-    "signs": ("seed", "samples", "n_max"),
-    "cmdk": ("seed", "samples", "n_max"),
-    "roundtrip": ("seed", "samples", "n_max", "tol"),
-    "forms": ("seed", "samples", "tol"),
-    "menger": ("seed", "samples", "n_max"),
-    "signdict": ("seed", "samples"),
-    "heron": (),
-    "kernel": ("seed", "samples", "n_max"),
-    "content": (),
-}

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from distgeom import exact, factorization, sampling, suites
-from distgeom.cli import build_parser, main
-from distgeom.suites import SUITES, signs_suite
+from distgeom.cli import SUITES, build_parser, main
+from distgeom.suites import signs_suite
 
 GOLDENS = Path(__file__).parent / "goldens" / "v1"
 
@@ -243,6 +243,13 @@ class TestVerify:
         with_tol, without = calls
         assert with_tol.get("tol") == (0.5 if "tol" in SUITES[name] else None)
         assert "tol" not in without
+
+    @pytest.mark.parametrize("name", ["heron", "content"])
+    def test_samples_and_n_are_ignored_by_suites_without_them(self, capsys, name):
+        plain = _run(capsys, "verify", name)
+        assert plain[0] == 0
+        assert _run(capsys, "verify", name, "--samples", "3") == plain
+        assert _run(capsys, "verify", name, "--n", "3") == plain
 
     def test_seeded_runs_are_reproducible(self, capsys):
         args = ("verify", "signs", "--samples", "5", "--n", "4", "--seed", "11")
@@ -671,13 +678,81 @@ assert "numpy" in sys.modules, "embed ran without numpy"
 """
 
 
-def test_exact_subcommands_do_not_import_numpy():
+def _fresh_python(code, *argv) -> str:
+    """stdout of `code` run with `argv` in a fresh interpreter on src/."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_exact_subcommands_do_not_import_numpy():
+    _fresh_python(IMPORT_PROBE)
+
+
+COLD_PROBE = """
+import contextlib, io, json, sys
+argv, out = sys.argv[1:], io.StringIO()
+if argv == ["bare"]:
+    import distgeom
+    code = None
+else:
+    from distgeom.cli import build_parser, main
+    build_parser()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv) if argv else None
+print(json.dumps({
+    "code": code,
+    "out": out.getvalue(),
+    "loaded": sorted(name for name in sys.modules if name.startswith("distgeom.")),
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+_LAYERS = {"analysis", "builders", "polys", "factorization", "suites", "sampling"}
+_SYMBOLIC = {"polys", "factorization", "suites", "sampling"}
+
+
+class TestColdImports:
+    """What one fresh interpreter has loaded after one step: each verb
+    compiles only the modules it runs."""
+
+    @staticmethod
+    def _probe(*argv):
+        doc = json.loads(_fresh_python(COLD_PROBE, *argv))
+        doc["loaded"] = {name.split(".", 1)[1] for name in doc["loaded"]}
+        return doc
+
+    def test_bare_package_import_loads_no_submodule(self):
+        assert self._probe("bare")["loaded"] == set()
+
+    def test_parser_and_a_refused_input_load_no_layer(self, tmp_path):
+        listed = tmp_path / "list.json"
+        listed.write_text('{"n": 3, "r": [1, 1, 1]}')
+        parser_only = self._probe()
+        refused = self._probe("check", "--input", str(listed))
+        assert refused["code"] == 2
+        for doc in (parser_only, refused):
+            assert not doc["loaded"] & _LAYERS, doc["loaded"]
+
+    @pytest.mark.parametrize("argv, absent", [
+        (("build", "redm", "--r", "1,1,1", "--k", "1"), _SYMBOLIC),
+        (("det", "cm", "--r", "1,1,1"), _SYMBOLIC),
+        (("factor", "--n", "3"), {"analysis", "suites", "sampling"}),
+    ], ids=["build", "det", "factor"])
+    def test_verb_loads_only_what_it_runs(self, argv, absent):
+        doc = self._probe(*argv)
+        assert doc["code"] == 0
+        assert not doc["loaded"] & absent, doc["loaded"]
+
+    def test_exact_check_past_the_double_range_loads_no_numpy(self):
+        doc = self._probe("check", "--r", "1e200,1e200,1e200")
+        assert doc["code"] == 0
+        assert json.loads(doc["out"])["min_eigenvalue"] is None
+        assert not doc["numpy"]
 
 
 class TestFuzz:

@@ -1,5 +1,6 @@
 """Domain-type tests: pair indexing, distances, configurations, masses."""
 
+import importlib
 import inspect
 import json
 import math
@@ -385,6 +386,62 @@ class TestMassParams:
 
 
 class TestPublicNames:
+    # The package's public names, frozen from when `import distgeom` still
+    # imported every layer eagerly, grouped by the submodule that defines each.
+    HOMES = {
+        "core": (
+            "DimensionMismatch", "DistanceVector", "DistgeomError", "InputFormatError",
+            "MassParams", "NotEmbeddableError", "PairIndex", "PairSpace",
+            "PointConfiguration", "ResourceCapError", "VerificationError",
+            "affine_rank", "distances", "elementary_symmetric", "is_singular",
+        ),
+        "builders": (
+            "GenericEntryTable", "Matrix", "bordered", "cayley_menger", "edm",
+            "lift_reduced", "nbody_matrix", "reduced_edm", "w_matrix",
+        ),
+        "analysis": (
+            "DefinitenessReport", "EmbeddingResult", "MEMBER_BOUNDARY",
+            "MEMBER_INTERIOR", "MEMBER_OUTSIDE", "VERDICT_INDEFINITE", "VERDICT_PD",
+            "VERDICT_PSD", "biquadratic_form", "cone_membership", "definiteness",
+            "determinant", "edm_quadratic_form", "embed", "gram_quadratic_form",
+            "mass_quadratic_form", "nbody_quartic_form", "pair_products",
+            "reduced_quadratic_form", "simplex_volume_sq",
+        ),
+        "polys": ("SparsePoly", "VarTable", "exact_divide", "poly_det", "variables"),
+        "factorization": (
+            "FactorizationCertificate", "IdentityReport", "SignDictionaryReport",
+            "annihilates", "factor_nbody", "factor_w", "heron_check",
+            "kernel_witness", "mass_distance_table", "nbody_sigma_value",
+            "sign_dictionary", "symbolic_bordered_masses_det", "symbolic_cm_det",
+            "symbolic_nbody_det",
+        ),
+    }
+    NAMES = tuple(name for names in HOMES.values() for name in names)
+
+    def test_all_is_the_frozen_name_list(self):
+        import distgeom
+
+        assert len(self.NAMES) == 63
+        assert tuple(distgeom.__all__) == self.NAMES
+
+    def test_each_name_is_its_submodules_object(self):
+        import distgeom
+
+        listed = dir(distgeom)
+        for module_name, names in self.HOMES.items():
+            module = importlib.import_module(f"distgeom.{module_name}")
+            for name in names:
+                assert name in listed
+                assert getattr(distgeom, name) is getattr(module, name), name
+
+    def test_unknown_name_raises_attribute_error_and_submodules_import(self):
+        import distgeom
+        from distgeom import suites
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            distgeom.no_such_name
+        assert isinstance(suites, types.ModuleType) and distgeom.suites is suites
+
     def test_star_import_binds_exactly_all_and_no_module(self):
         import distgeom
 
