@@ -30,10 +30,10 @@ inputs prove no key or partial sum reaches 2^63: mixed-radix monomial
 keys (Kronecker substitution; von zur Gathen & Gerhard, "Modern Computer
 Algebra", 8.4), one stable sort, and `np.add.reduceat` over runs of equal
 keys.  A determinant first builds its levels of minors as dense tables by
-scatter-adds (`_dense_level`), and comes back packed (`_PackedPoly`,
-decoded only when read).  Both layouts, `_Packing` and `_Int64Layout`,
-offer `pack`, `accumulate`, `divide` and `unpack`, so a certificate
-(`divide_out`) runs in lhs's layout and decodes only its quotient.
+scatter-adds (`_dense_level`).  A determinant comes back packed in either
+layout (`_PackedPoly`, decoded only when read), and both, `_Packing` and
+`_Int64Layout`, offer `pack`, `accumulate`, `divide` and `unpack`, so a
+certificate (`divide_out`) runs in lhs's layout and decodes only its quotient.
 """
 
 from __future__ import annotations
@@ -100,12 +100,13 @@ _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 class _Packing:
     """Conversion between exponent tuples and packed ints for one layout."""
 
-    __slots__ = ("guard", "_pack", "_unpack", "_size")
+    __slots__ = ("guard", "top", "_pack", "_unpack", "_size")
 
     def __init__(self, nvars: int, slot_bytes: int):
         code = _SLOT_CODES[slot_bytes]
         bits = 8 * slot_bytes
         self.guard = sum(1 << (bits * k + bits - 1) for k in range(nvars))
+        self.top = (1 << (bits - 1)) - 1  # the largest degree a slot holds
         self._pack = struct.Struct(f">{nvars + 1}{code}").pack
         self._unpack = struct.Struct(f">{slot_bytes}x{nvars}{code}").unpack
         self._size = slot_bytes * (nvars + 1)
@@ -117,6 +118,15 @@ class _Packing:
     def unpack(self, terms: dict) -> dict:
         unpack, size = self._unpack, self._size
         return {unpack(k.to_bytes(size, "big")): c for k, c in terms.items()}
+
+    def __reduce__(self):  # struct methods do not pickle; rebuild from the shape
+        slot_bytes = (self.top.bit_length() + 1) // 8
+        return _layout, (self._size // slot_bytes - 1, slot_bytes)
+
+    def fit(self, poly: SparsePoly) -> dict:
+        if poly.degree() > self.top:
+            raise _Unfit  # a slot would reach its guard bit or overflow
+        return self.pack(poly.terms)
 
     @staticmethod
     def accumulate(products) -> dict:
@@ -140,7 +150,7 @@ class _Packing:
         divide, by the heap division `exact_divide` describes; num is kept."""
         if not factor.terms:
             raise ZeroDivisionError("polynomial division by zero")
-        (den_key, den_coeff), *den_rest = sorted(self.pack(factor.terms).items(), reverse=True)
+        (den_key, den_coeff), *den_rest = sorted(self.fit(factor).items(), reverse=True)
         remainder, guard = dict(num), self.guard
         heap = [-k for k in remainder]
         heapq.heapify(heap)
@@ -182,7 +192,7 @@ class _Packing:
         """Whether product * quotient, `packed` here, is lhs.  The quotient's
         keys come from divisions here, so its slots, like the product's, stay
         below their guard bits, and no slot sum carries."""
-        return self.accumulate([(self.pack(product.terms), packed, 1)]) == lhs
+        return self.accumulate([(self.fit(product), packed, 1)]) == lhs
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +213,7 @@ _INT64_MIN_ROWS = 8
 
 
 class _Unfit(Exception):
-    """The int64 arrays cannot carry a certificate step."""
+    """lhs's layout cannot carry a certificate step (a bound or a degree)."""
 
 
 class _Int64Layout:
@@ -604,9 +614,9 @@ class SparsePoly:
 
 
 class _PackedPoly(SparsePoly):
-    """A SparsePoly held as int64 (keys, coeffs) sorted by key in `layout`,
-    which `divide_out` reads; `terms` is decoded on first access and then
-    cached, so every public behaviour is a SparsePoly's."""
+    """A SparsePoly held packed in `layout` (int64 (keys, coeffs) sorted by
+    key, or a packed-int dict), which `divide_out` reads; `terms` is decoded
+    on first access and cached, so every public behaviour is a SparsePoly's."""
 
     __slots__ = ("layout", "packed")
 
@@ -614,7 +624,7 @@ class _PackedPoly(SparsePoly):
         self.table, self.layout, self.packed = table, layout, packed
 
     def term_count(self) -> int:
-        return len(self.packed[0])
+        return len(self.packed if type(self.packed) is dict else self.packed[0])
 
     def __getattr__(self, name):
         # Reached only for a missing attribute: `terms` before its first read.
@@ -656,18 +666,18 @@ def divide_out(lhs: SparsePoly, factors):
     first factor k that does not divide, or (None, len(factors)) when the
     re-multiplication differs.
 
-    lhs is packed once: det B arrives on int64 arrays, any other lhs is
-    packed here into packed-int dicts.  The divisions, the one
-    re-multiplication and the comparison with lhs run in that layout, and
-    only the quotient is decoded.  The input picks the division kernel
-    (int64 where the proven bounds fit); the one fallback reruns the whole
-    certificate on packed-int dicts when the arrays cannot carry a step.
+    A determinant arrives packed (int64 arrays or a packed-int dict); any
+    other lhs is packed here once, in slots for every factor and product.
+    The divisions, the one re-multiplication and the comparison with lhs
+    run in that layout, and only the quotient is decoded.  The input picks
+    the division kernel (int64 where proven bounds fit); the one fallback
+    reruns the certificate on a plain lhs if lhs's layout cannot carry it.
     """
     product = math.prod(factors, start=SparsePoly.const(lhs.table, 1))
     if isinstance(lhs, _PackedPoly):
         layout, packed = lhs.layout, lhs.packed
     else:
-        layout = _packing(len(lhs.table), max(lhs.degree(), product.degree()))
+        layout = _packing(len(lhs.table), max(lhs.degree(), sum(f.degree() for f in factors if f)))
         packed = layout.pack(lhs.terms)
     current = packed
     try:
@@ -786,9 +796,9 @@ def _det_minors(rows, table: VarTable) -> SparsePoly:
     if type(level) is tuple:  # the dense phase ran to the last row
         level = _dense_level(level, [], n)
     minor = level.get((1 << n) - 1)
-    if isinstance(layout, _Int64Layout) and minor:
-        return _PackedPoly(table, layout, minor)
-    return SparsePoly._raw(table, layout.unpack(minor) if minor else {})
+    if minor and Fraction in {type(c) for e in chain(*rows) for c in e.terms.values()}:
+        minor = {k: _canonical(c) for k, c in minor.items()}
+    return _PackedPoly(table, layout, minor) if minor else SparsePoly.zero(table)
 
 
 def poly_det(matrix) -> SparsePoly:
@@ -798,8 +808,8 @@ def poly_det(matrix) -> SparsePoly:
     minors instead of multiplying two large intermediate polynomials.  The
     expansion packs every entry once and keeps the minors packed: dense
     int64 tables, int64 arrays or packed-monomial dicts (see the module
-    docstring).  An int64 result stays packed and decodes its exponent
-    tuples on first access; `divide_out` reads its arrays instead.
+    docstring).  A nonzero result stays packed in that layout and decodes
+    its exponent tuples on first access; `divide_out` reads it packed.
     """
     rows = _entry_rows(matrix)
     n = len(rows)

@@ -360,24 +360,45 @@ class TestPackedCertificate:
         assert packed.quotient == q
 
 
-@pytest.mark.parametrize("family", ["nbody", "w"])
-def test_certificate_packs_lhs_once_and_decodes_only_the_quotient(monkeypatch, family):
-    # The dict route packs lhs once and keeps every division, the
-    # re-multiplication and the comparison packed: neither lhs nor the
-    # middle quotient is ever decoded.
-    cert = factor_nbody(4) if family == "nbody" else factor_w(3)
-    lhs, factors = cert.lhs, list(cert.factors)
-    middle = polys.exact_divide(lhs, factors[0])
+@pytest.mark.parametrize("family, lhs_terms", [("nbody", 4524), ("w", 7866)])
+def test_certificate_never_packs_or_decodes_lhs(monkeypatch, family, lhs_terms):
+    # lhs leaves the minors expansion packed, and every division, the
+    # re-multiplication and the comparison read it so: across the whole
+    # certificate neither lhs nor the middle quotient is packed or decoded.
     packed, unpacked = [], []
     pack, unpack = polys._Packing.pack, polys._Packing.unpack
-    monkeypatch.setattr(polys._Packing, "pack", lambda s, t: packed.append(len(t)) or pack(s, t))
-    monkeypatch.setattr(
-        polys._Packing, "unpack", lambda s, t: unpacked.append(len(t)) or unpack(s, t)
-    )
-    assert polys.divide_out(lhs, factors) == (cert.quotient, None)
-    assert packed.count(len(lhs.terms)) == 1
-    assert unpacked[-1] == len(cert.quotient.terms)
-    assert not {len(lhs.terms), len(middle.terms)} & set(unpacked)
+    with monkeypatch.context() as patch:
+        patch.setattr(polys._Packing, "pack", lambda s, t: packed.append(len(t)) or pack(s, t))
+        patch.setattr(polys._Packing, "unpack", lambda s, t: unpacked.append(len(t)) or unpack(s, t))
+        cert = factor_nbody(4) if family == "nbody" else factor_w(3)
+        assert cert.to_json_dict()["lhs_terms"] == lhs_terms
+    assert type(cert.lhs) is polys._PackedPoly and cert.lhs.term_count() == lhs_terms
+    middle = polys.exact_divide(cert.lhs, cert.factors[0])
+    assert len(cert.lhs.terms) == lhs_terms and len(cert.quotient.terms) in unpacked
+    assert not {lhs_terms, len(middle.terms)} & set(packed + unpacked)
+
+
+@pytest.mark.parametrize("degree", [200, 300])
+def test_factor_past_the_slots_reruns_on_a_wide_layout(degree):
+    # A dict-layout det has 1-byte slots, sized for itself alone; a factor
+    # of higher degree cannot pack there and must not set a guard bit or
+    # overflow a slot, but take the wide rerun that a plain lhs takes.
+    table = VarTable(["x", "y"])
+    x, y = (SparsePoly.variable(table, name) for name in table.names)
+    det = polys.poly_det([[x, y], [y, x]])
+    factor = SparsePoly(table, {(degree, 0): 1, (0, degree): -1})
+    assert type(det) is polys._PackedPoly and det.layout.top == 127
+    with pytest.raises(polys._Unfit):
+        det.layout.fit(factor)
+    plain = SparsePoly._raw(table, dict(det.terms))
+    assert polys.divide_out(det, [factor]) == polys.divide_out(plain, [factor]) == (None, 0)
+    # A zero factor after it leaves the product degree at -1: a plain lhs
+    # still packs in slots that hold the factor, so the rerun ends.
+    both = [factor, SparsePoly.zero(table)]
+    assert polys.divide_out(det, both) == polys.divide_out(plain, both) == (None, 0)
+    fresh = polys.poly_det([[x, y], [y, x]])
+    text = f"test: factor '1 * x^{degree} + -1 * y^{degree}' does not divide exactly"
+    assert _split(fresh, [factor]) == _split(plain, [factor]) == text
 
 
 @pytest.fixture(scope="module")

@@ -286,6 +286,17 @@ class TestPolyDet:
         (x,) = variables(table)
         assert poly_det([[x, 1], [1, x]]) == x**2 - 1
 
+    def test_integral_coefficients_come_back_as_int(self):
+        table = VarTable(["x", "y"])
+        x, y = variables(table)
+        half_x = x.scale(Fraction(1, 2))
+        det = poly_det([[half_x, y], [y, x.scale(2)]])
+        assert det.terms == {(2, 0): 1, (0, 2): -1}
+        assert {type(c) for c in det.terms.values()} == {int}
+        mixed = poly_det([[half_x, y], [y, x]])
+        assert mixed.terms == {(2, 0): Fraction(1, 2), (0, 2): -1}
+        assert type(mixed.terms[(0, 2)]) is int
+
     def test_empty_and_nonsquare(self):
         assert poly_det([]) == 1
         with pytest.raises(ValueError):
@@ -632,16 +643,19 @@ class TestDenseMinors:
 
 
 class TestPackedResult:
-    """copy, deepcopy and a pickle round trip of an undecoded int64
-    determinant give a polynomial equal to it, as for any SparsePoly."""
+    """copy, deepcopy and a pickle round trip of an undecoded determinant,
+    on int64 arrays or a packed-int dict, give a polynomial equal to it, as
+    for any SparsePoly."""
 
-    @pytest.mark.parametrize("source", ["equal-mass-det-b-5", "seeded-8-rows"])
+    @pytest.mark.parametrize("source", ["equal-mass-det-b-5", "seeded-8-rows", "det-b-4"])
     def test_copy_and_pickle(self, monkeypatch, source):
         if source == "seeded-8-rows":
             rows = _poly_matrix(3, 8)
             det, expected = poly_det(rows), _dict_det(monkeypatch, rows)
         else:
-            det = symbolic_nbody_det(5, equal_masses=True, long_running=True)
+            n = 5 if source == "equal-mass-det-b-5" else 4
+            det = symbolic_nbody_det(n, equal_masses=n == 5, long_running=n == 5)
+            assert isinstance(det.layout, polys._Int64Layout if n == 5 else polys._Packing)
             expected = polys._PackedPoly(det.table, det.layout, det.packed).terms
         assert type(det) is polys._PackedPoly and len(expected) > 100
         roundtrip = lambda p: pickle.loads(pickle.dumps(p))
