@@ -20,7 +20,7 @@ from itertools import combinations
 
 from . import exact
 from .builders import (
-    GenericEntryTable, Matrix, cayley_menger, nbody_matrix, reduced_edm, w_matrix,
+    GenericEntryTable, cayley_menger, nbody_matrix, reduced_edm, w_matrix,
 )
 from .core import (
     DimensionMismatch,
@@ -31,15 +31,11 @@ from .core import (
     alpha_values,
 )
 from .exact import VERDICT_INDEFINITE, VERDICT_PD, VERDICT_PSD
-from .scalars import all_exact, is_symbolic, np, rational, to_double
+from .scalars import all_exact, is_symbolic, np, rational, rows_of, to_double
 
 MEMBER_INTERIOR = "interior"
 MEMBER_BOUNDARY = "boundary"
 MEMBER_OUTSIDE = "outside"
-
-
-def _rows(matrix) -> list[list]:
-    return matrix.to_lists() if isinstance(matrix, Matrix) else [list(row) for row in matrix]
 
 
 def _classify(rows) -> str:
@@ -55,7 +51,7 @@ def determinant(matrix):
     fraction-free elimination, and float entries use LU factorization,
     which raises OverflowError when the result is not a finite double.
     """
-    rows = _rows(matrix)
+    rows = rows_of(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatch("determinant requires a square matrix")
@@ -121,7 +117,7 @@ def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
     singular matrices.  The numeric regime thresholds eigenvalues at
     tol * max(|lambda|, 1).
     """
-    rows = _rows(matrix)
+    rows = rows_of(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatch("definiteness requires a square matrix")
@@ -200,14 +196,16 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
     Exact vectors read M off the shared integer reduced matrix L M as
     doubles v / L, each rounded once, as float(Fraction) would; the
     residual reads given exact distances (p, q) as p / q the same way.  Distance
-    vectors outside the cone are refused, with the offending eigenvalue
-    attached to the error.
+    vectors outside the cone are refused, with the smallest float eigenvalue
+    attached to the error: exact vectors by the exact verdict that
+    `cone_membership` reads, float vectors by that eigenvalue below -tol * max.
     """
     n = r.n
     if n == 1:
         return EmbeddingResult(PointConfiguration([()]), 0, 0.0)
+    verdict = None
     if r.is_exact():
-        rows, scale, _ = _integer_reduced(r)
+        rows, scale, (verdict, _) = _integer_reduced(r)
         try:
             m = np.array([[v / scale for v in row] for row in rows])
         except OverflowError:
@@ -218,12 +216,14 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
         m = np.array(_doubles(reduced_edm(r, n - 1).to_lists()))
     m = (m + m.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(m)
-    thr = tol * max(float(np.max(np.abs(eigvals))), 1.0) if eigvals.size else 0.0
-    if eigvals.size and float(eigvals[0]) < -thr:
+    thr = tol * max(float(np.max(np.abs(eigvals))), 1.0)
+    min_eig = float(eigvals[0])
+    outside = verdict == VERDICT_INDEFINITE if verdict else min_eig < -thr
+    if outside:
         raise NotEmbeddableError(
             "distance vector lies outside the realizable cone "
-            f"(eigenvalue {float(eigvals[0]):.6g})",
-            float(eigvals[0]),
+            f"(eigenvalue {min_eig:.6g})",
+            min_eig,
         )
     order = np.argsort(eigvals)[::-1]
     kept = [int(i) for i in order if float(eigvals[i]) > thr]

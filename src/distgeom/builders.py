@@ -9,8 +9,6 @@ rendering ("3" for a point, "1,2" for a pair).
 
 from __future__ import annotations
 
-import json
-
 from .core import (
     DimensionMismatch,
     DistanceVector,
@@ -111,9 +109,6 @@ class Matrix:
         if symbolic is not None:
             doc["vars"] = list(symbolic.names)
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 class GenericEntryTable:

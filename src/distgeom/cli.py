@@ -24,9 +24,10 @@ from .core import (
     PointConfiguration,
     ResourceCapError,
     VerificationError,
+    _loads,
     distances,
 )
-from .scalars import format_number, loads_with_exact_numbers, parse_number
+from .scalars import format_number, parse_number
 
 # Each verb imports the layers it runs inside its function, after its input
 # parses where it can: a cold process compiles only what the verb runs.
@@ -115,12 +116,8 @@ def _load_entry_table(path: str, exact: bool):
 
     text = _read_text(path)
     try:
-        doc = loads_with_exact_numbers(text, exact)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:
+        doc = _loads(text, exact)
+    except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
     return GenericEntryTable.from_json_dict(doc, exact)
 

@@ -396,10 +396,6 @@ class MassParams:
         if not self.alpha:
             raise DimensionMismatch("mass parameters need at least one entry")
 
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
-
     @classmethod
     def from_masses(cls, masses) -> "MassParams":
         values = []
@@ -408,9 +404,6 @@ class MassParams:
                 raise ValueError("masses must be nonzero")
             values.append(Fraction(1, 1) / m if is_exact(m) else 1.0 / m)
         return cls(tuple(values))
-
-    def is_exact(self) -> bool:
-        return all_exact(self.alpha)
 
 
 def alpha_values(alpha) -> tuple:

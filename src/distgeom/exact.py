@@ -147,7 +147,7 @@ def psd_verdict(rows) -> tuple[str, int]:
         diag = [m[i][i] for i in range(r, n)]
         p = next((i for i, v in enumerate(diag, r) if v > 0), None)
         if min(diag) < 0 or (p is None and any(any(row[r:]) for row in m[r:])):
-            return VERDICT_INDEFINITE, len(_echelon(_integral(rows)[0])[0])
+            return VERDICT_INDEFINITE, rank(rows)
         if p is None:
             break
         m[r], m[p] = m[p], m[r]

@@ -138,12 +138,11 @@ def symbolic_cm_det(n: int, table: VarTable | None = None) -> SparsePoly:
     return poly_det(cayley_menger(r))
 
 
-def symbolic_bordered_masses_det(n: int, table: VarTable | None = None) -> SparsePoly:
+def symbolic_bordered_masses_det(n: int) -> SparsePoly:
     """Determinant of the ones-bordered diagonal mass matrix, symbolically."""
     if n < 1:
         raise ValueError("the bordered mass determinant needs n >= 1")
-    if table is None:
-        table = mass_table(n)
+    table = mass_table(n)
     alpha = symbolic_masses(table, n)
     zero = SparsePoly.zero(table)
     diag = GenericEntryTable.diagonal(list(alpha.alpha), zero=zero)
@@ -197,8 +196,6 @@ def factor_nbody(
     table = lhs.table
     alpha = symbolic_masses(table, n, equal_masses)
     e_factor = elementary_symmetric(n - 1, alpha)
-    if not isinstance(e_factor, SparsePoly):
-        e_factor = SparsePoly.const(table, e_factor)
     delta = symbolic_cm_det(n, table=table)
     return _certified_split("nbody", n, lhs, [e_factor, delta])
 
@@ -226,23 +223,13 @@ def specialize_to_masses_and_distances(
     """Map generic table variables onto the mass/distance specialization.
 
     s becomes the squared-distance table (zero diagonal, r atoms off it)
-    and t the diagonal mass table, both over the target variable table.
+    and t the diagonal mass table, both over the target variable table:
+    the tables `specialized_w` builds.
     """
-    mapping = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                mapping[f"s_{i + 1}_{j + 1}"] = 0
-                mapping[f"t_{i + 1}_{j + 1}"] = SparsePoly.variable(
-                    target, f"a_{i + 1}"
-                )
-            else:
-                lo, hi = (i, j) if i < j else (j, i)
-                mapping[f"s_{i + 1}_{j + 1}"] = SparsePoly.variable(
-                    target, f"r_{lo + 1}_{hi + 1}"
-                )
-                mapping[f"t_{i + 1}_{j + 1}"] = 0
-    return poly.substitute(mapping, target)
+    s = GenericEntryTable.from_distance_vector(symbolic_squared_distances(target, n))
+    t = GenericEntryTable.diagonal(symbolic_masses(target, n).alpha)
+    images = [v for table in (s, t) for row in table.entries for v in row]
+    return poly.substitute(dict(zip(pair_table(n).names, images)), target)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .scalars import is_exact, np
+from .scalars import is_exact, np, rows_of
 
 
 class VarTable:
@@ -537,25 +537,10 @@ class SparsePoly:
 
     def substitute(self, mapping: dict, target: VarTable) -> "SparsePoly":
         """Map every used variable to a scalar or polynomial over `target`."""
-        images = {}
-        for k in self.used_vars():
-            name = self.table.names[k]
-            if name not in mapping:
-                raise ValueError(f"no substitution for variable {name!r}")
-            image = mapping[name]
-            if not isinstance(image, SparsePoly):
-                image = SparsePoly.const(target, image)
-            elif image.table != target:
-                raise ValueError("substitution image on the wrong variable table")
-            images[k] = image
-        total = SparsePoly.zero(target)
-        for exp, coeff in self.terms.items():
-            term = SparsePoly.const(target, coeff)
-            for k, e in enumerate(exp):
-                for _ in range(e):
-                    term = term * images[k]
-            total = total + term
-        return total
+        if any(isinstance(v, SparsePoly) and v.table != target for v in mapping.values()):
+            raise ValueError("substitution image on the wrong variable table")
+        value = self.evaluate(mapping)
+        return value if isinstance(value, SparsePoly) else SparsePoly.const(target, value)
 
     def content(self) -> int:
         """gcd of the coefficients after clearing denominators; 0 for zero."""
@@ -691,12 +676,6 @@ def divide_out(lhs: SparsePoly, factors):
     return (quotient, None) if same else (None, len(factors))
 
 
-def _entry_rows(matrix):
-    if hasattr(matrix, "to_lists"):
-        return matrix.to_lists()
-    return [list(row) for row in matrix]
-
-
 def _normalize_symbolic(rows):
     table = None
     for row in rows:
@@ -811,7 +790,7 @@ def poly_det(matrix) -> SparsePoly:
     docstring).  A nonzero result stays packed in that layout and decodes
     its exponent tuples on first access; `divide_out` reads it packed.
     """
-    rows = _entry_rows(matrix)
+    rows = rows_of(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("poly_det requires a square matrix")

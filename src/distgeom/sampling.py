@@ -14,19 +14,13 @@ from .builders import GenericEntryTable
 from .core import PointConfiguration, affine_rank, distances, is_singular
 
 
-def random_fraction(rng: random.Random, span: int = 6, denominator: int = 2) -> Fraction:
-    value = Fraction(rng.randint(-span, span), rng.randint(1, denominator))
-    return value
+def random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 2))
 
 
-def random_configuration(
-    rng: random.Random, n: int, d: int, span: int = 6, denominator: int = 2
-) -> PointConfiguration:
+def random_configuration(rng: random.Random, n: int, d: int) -> PointConfiguration:
     return PointConfiguration(
-        [
-            tuple(random_fraction(rng, span, denominator) for _ in range(d))
-            for _ in range(n)
-        ]
+        [tuple(random_fraction(rng) for _ in range(d)) for _ in range(n)]
     )
 
 
@@ -93,10 +87,8 @@ def random_vector(rng: random.Random, n: int) -> list[Fraction]:
     return [random_fraction(rng) for _ in range(n)]
 
 
-def random_entry_table(rng: random.Random, n: int, span: int = 6) -> GenericEntryTable:
-    return GenericEntryTable(
-        [[random_fraction(rng, span) for _ in range(n)] for _ in range(n)]
-    )
+def random_entry_table(rng: random.Random, n: int) -> GenericEntryTable:
+    return GenericEntryTable([[random_fraction(rng) for _ in range(n)] for _ in range(n)])
 
 
 def random_singular_entry_table(rng: random.Random, n: int) -> GenericEntryTable:

@@ -59,6 +59,11 @@ def is_symbolic(value) -> bool:
     return polys is not None and isinstance(value, polys.SparsePoly)
 
 
+def rows_of(matrix) -> list[list]:
+    """The rows of a `builders.Matrix` or of any sequence of rows, as new lists."""
+    return matrix.to_lists() if hasattr(matrix, "to_lists") else [list(row) for row in matrix]
+
+
 def _unsigned(text: str) -> str:
     return text[1:] if text[:1] in ("+", "-") else text
 

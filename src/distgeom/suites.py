@@ -24,7 +24,6 @@ from .analysis import (
     gram_quadratic_form,
     mass_quadratic_form,
     nbody_quartic_form,
-    pair_products,
     reduced_quadratic_form,
     simplex_volume_sq,
 )
@@ -50,11 +49,12 @@ from .factorization import (
     heron_check,
     kernel_witness,
     nbody_sigma_value,
+    pair_table,
     sign_dictionary,
     specialized_w,
     symbolic_entry_table,
 )
-from .polys import VarTable, poly_det
+from .polys import poly_det
 
 
 @dataclass
@@ -433,11 +433,7 @@ def content_suite(n_values=(2, 3, 4)) -> SuiteResult:
     """The bordered generic-table determinant has unit content."""
     failures: list[str] = []
     for n in n_values:
-        table = VarTable(
-            f"s_{i + 1}_{j + 1}" for i in range(n) for j in range(n)
-        )
-        s = symbolic_entry_table(table, n, "s")
-        det_cs = poly_det(bordered(s))
+        det_cs = poly_det(bordered(symbolic_entry_table(pair_table(n), n, "s")))
         if det_cs.content() != 1:
             failures.append(f"n={n}: content {det_cs.content()} != 1")
     return _result(

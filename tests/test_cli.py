@@ -161,6 +161,26 @@ class TestEmbed:
         assert doc["error"] == "outside"
         assert doc["min_eigenvalue"] < 0
 
+    # The float eigenvalue of this vector, about -1.6e-12, lies inside
+    # tol * max, so exact `embed` printed d = 1 points and exited 0 while
+    # exact `check` called the vector outside.
+    @pytest.mark.parametrize("r", ["1,1,2.000000000001", "1,1,2000000000001/1000000000000"])
+    def test_exact_embed_refuses_what_check_calls_outside(self, capsys, r):
+        code, out, _ = _run(capsys, "check", "--r", r)
+        assert (code, json.loads(out)["membership"]) == (1, "outside")
+        code, out, err = _run(capsys, "embed", "--r", r)
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "outside"
+        assert -1e-11 < doc["min_eigenvalue"] < 0
+
+    @pytest.mark.parametrize("r, d", [("1,1,2", 1), ("0,0,0", 0)])
+    def test_exact_embed_accepts_the_boundary(self, capsys, r, d):
+        code, out, _ = _run(capsys, "check", "--r", r)
+        assert (code, json.loads(out)["membership"]) == (0, "boundary")
+        code, out, _ = _run(capsys, "embed", "--r", r)
+        assert code == 0 and json.loads(out)["d"] == d
+
 
 class TestFactor:
     def test_three_body_matches_golden(self, capsys):
@@ -626,6 +646,97 @@ class TestOutputAndSamples:
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--samples" in errors[0]
+
+
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, "show this help message and exit")
+_KIND = ((), "kind", None, ("edm", "cm", "redm", "nbody", "w"), None)
+_INPUTS = (
+    (("--r",), "r", None, None, "comma-separated distances in pair order"),
+    (("--input",), "input", None, None, "distance-vector JSON file"),
+    (("--points",), "points", None, None, "point-configuration JSON file"),
+)
+_MATRIX = (
+    (("--alpha",), "alpha", None, None, "comma-separated mass parameters"),
+    (("--k",), "k", None, None, "base point index (1-based)"),
+    (("--s",), "s", None, None, "first entry-table JSON file (kind w)"),
+    (("--t",), "t", None, None, "second entry-table JSON file (kind w)"),
+)
+_MODE = (
+    ("--mode",), "mode", "exact", ("exact", "numeric"),
+    "scalar regime for parsed values (default exact)",
+)
+_TOL_HELP = "relative tolerance for numeric verdicts"
+_OUT = (("--out",), "out", None, None, "write output to this file instead of stdout")
+_COMMON = (_MODE, (("--tol",), "tol", 1e-10, None, _TOL_HELP), _OUT)
+
+
+class TestOptionSurface:
+    """Every option of every verb, as the parser holds it: a change to
+    any `--help` text shows here first.  The rendered `--help` itself is
+    not pinned, since argparse lays it out differently across Python
+    versions."""
+
+    VERBS = {
+        "build": (
+            "construct one of the matrix families",
+            (_HELP, _KIND, *_INPUTS, *_MATRIX, *_COMMON),
+        ),
+        "det": (
+            "determinant of one of the matrix families",
+            (_HELP, _KIND, *_INPUTS, *_MATRIX, *_COMMON),
+        ),
+        "check": (
+            "classify a distance vector against the realizable cone",
+            (_HELP, *_INPUTS, *_COMMON),
+        ),
+        "embed": (
+            "reconstruct a point configuration from distances",
+            (_HELP, *_INPUTS, *_COMMON),
+        ),
+        "factor": ("symbolic determinant factorization certificate", (
+            _HELP,
+            (("--n",), "n", None, None, None),
+            (
+                ("--family",), "family", "nbody", ("nbody", "w"),
+                "which determinant to factor (default nbody)",
+            ),
+            (("--equal-masses",), "equal_masses", False, None, "use a single shared mass symbol"),
+            (("--long-running",), "long_running", False, None, "allow the large symbolic cases"),
+            *_COMMON,
+        )),
+        "verify": ("run a randomized verification suite", (
+            _HELP,
+            ((), "suite", None, (
+                "signs", "cmdk", "roundtrip", "forms", "menger", "signdict", "heron",
+                "kernel", "content",
+            ), None),
+            (("--n",), "n", None, None, "largest point count to sample"),
+            (("--seed",), "seed", 0, None, None),
+            (("--samples",), "samples", None, None, None),
+            _MODE,
+            (("--tol",), "tol", None, None, _TOL_HELP),  # None: each suite keeps its own
+            _OUT,
+        )),
+    }
+
+    @staticmethod
+    def _surface(parser):
+        return tuple(
+            (tuple(a.option_strings), a.dest, a.default,
+             None if a.choices is None else tuple(a.choices), a.help)
+            for a in parser._actions
+            if not isinstance(a, argparse._SubParsersAction)
+        )
+
+    def test_every_verb_and_option_is_pinned(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert self._surface(parser) == (_HELP,)
+        assert [(a.dest, a.help) for a in sub._choices_actions] == [
+            (verb, summary) for verb, (summary, _) in self.VERBS.items()
+        ]
+        for verb, (_, options) in self.VERBS.items():
+            assert self._surface(sub.choices[verb]) == options, verb
 
 
 class TestTolerance:

@@ -1,5 +1,6 @@
 """Domain-type tests: pair indexing, distances, configurations, masses."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -10,6 +11,7 @@ import time
 import types
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -462,3 +464,23 @@ class TestPublicNames:
         assert not hasattr(PairSpace, "unrank")
         assert "long_running" not in inspect.signature(sign_dictionary).parameters
         assert "tol" not in inspect.signature(suites.signs_suite).parameters
+
+
+_SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "distgeom").glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in _SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_top_level_import_is_used(path):
+    # A name a module imports at the top and never reads is dead code, and
+    # for a layer it can be a needless import at cold start.
+    tree = ast.parse(path.read_text())
+    imports = [
+        node for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+    ]
+    bound = {alias.asname or alias.name.split(".")[0] for node in imports for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - read) == []

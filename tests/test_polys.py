@@ -174,6 +174,38 @@ class TestEvaluateAndSubstitute:
             image = p.substitute(at, target)
             assert image == SparsePoly.const(target, p.evaluate(at))
 
+    def test_scalar_images_give_a_constant_on_the_target(self):
+        target = VarTable(["u", "v"])
+        image = (self.x * self.y + 3).substitute({"x": 2, "y": 5}, target)
+        assert isinstance(image, SparsePoly) and image.table == target
+        assert image == SparsePoly.const(target, 13)
+
+    def test_zero_polynomial_gives_zero_on_the_target(self):
+        target = VarTable(["u"])
+        image = SparsePoly.zero(self.table).substitute({}, target)
+        assert isinstance(image, SparsePoly) and image.table == target
+        assert image.is_zero()
+
+    def test_fraction_images(self):
+        target = VarTable(["u"])
+        (u,) = variables(target)
+        half = Fraction(1, 2)
+        image = (self.x**2 * self.y - self.y).substitute({"x": half * u, "y": half}, target)
+        assert image == Fraction(1, 8) * u**2 - half
+        assert image.terms == {(2,): Fraction(1, 8), (0,): -half}
+
+    def test_missing_image_is_an_error(self):
+        target = VarTable(["u"])
+        (u,) = variables(target)
+        with pytest.raises(ValueError, match="no value assigned to variable 'y'"):
+            (self.x + self.y).substitute({"x": u}, target)
+
+    def test_image_on_another_table_is_an_error(self):
+        target, other = VarTable(["u"]), VarTable(["w"])
+        (w,) = variables(other)
+        with pytest.raises(ValueError, match="wrong variable table"):
+            (self.x + 1).substitute({"x": w}, target)
+
 
 class TestContent:
     def test_integer_gcd(self):
