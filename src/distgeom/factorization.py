@@ -4,8 +4,9 @@ The determinant of the pair-indexed interaction matrix on n points splits
 as e_{n-1}(alpha) times the bordered squared-distance determinant times a
 mixed quotient; the determinant of the generalized pair-product matrix
 splits as the product of the two bordered table determinants times a
-quotient.  Both splits are established here by exact polynomial division
-and re-verified by multiplication, and packaged as certificates.
+quotient.  Both quotients come from one (n-1) x (n-1) pencil
+(`pencil_quotient`), each split is proved by one exact re-multiplication,
+and both are packaged as certificates.
 
 Also here: the entrywise and determinant-level reductions of the
 generalized matrix to the interaction matrix, the classical three-point
@@ -24,6 +25,7 @@ from .builders import (
     bordered,
     cayley_menger,
     nbody_matrix,
+    reduced_edm,
     w_matrix,
 )
 from .core import (
@@ -35,8 +37,8 @@ from .core import (
     alpha_values,
     elementary_symmetric,
 )
-from .polys import SparsePoly, VarTable, divide_out, exact_divide, poly_det
-from .scalars import all_exact
+from .polys import SparsePoly, VarTable, exact_divide, poly_det, remultiplies
+from .scalars import all_exact, rows_of
 
 SYMBOLIC_CAP = 5
 W_CAP = 3
@@ -101,6 +103,18 @@ def symbolic_entry_table(table: VarTable, n: int, prefix: str) -> GenericEntryTa
     )
 
 
+def _nbody_cap(n: int, long_running: bool):
+    if not 2 <= n <= SYMBOLIC_CAP:
+        raise ResourceCapError(
+            "symbolic interaction determinant capped at "
+            f"2 <= n <= {SYMBOLIC_CAP}, got {n}"
+        )
+    if n == SYMBOLIC_CAP and not long_running:
+        raise ResourceCapError(
+            f"n = {n} is a long computation; pass long_running=True to proceed"
+        )
+
+
 def symbolic_nbody_det(
     n: int,
     equal_masses: bool = False,
@@ -112,15 +126,7 @@ def symbolic_nbody_det(
     Guarded by a size cap of 5, checked before any table is built; n at
     the cap itself requires long_running=True because the expansion is large.
     """
-    if not 2 <= n <= SYMBOLIC_CAP:
-        raise ResourceCapError(
-            "symbolic interaction determinant capped at "
-            f"2 <= n <= {SYMBOLIC_CAP}, got {n}"
-        )
-    if n == SYMBOLIC_CAP and not long_running:
-        raise ResourceCapError(
-            f"n = {n} is a long computation; pass long_running=True to proceed"
-        )
+    _nbody_cap(n, long_running)
     if table is None:
         table = mass_distance_table(n, equal_masses)
     alpha = symbolic_masses(table, n, equal_masses)
@@ -153,8 +159,9 @@ def symbolic_bordered_masses_det(n: int) -> SparsePoly:
 class FactorizationCertificate:
     """A verified split lhs = (product of factors) * quotient.
 
-    `verified` records that the product was re-multiplied symbolically and
-    compared to lhs after the divisions succeeded.
+    `verified` records that the quotient, taken from the pencil
+    (`pencil_quotient`), times the product of the factors was multiplied
+    out symbolically and compared to lhs.
     """
 
     family: str
@@ -176,14 +183,43 @@ class FactorizationCertificate:
         }
 
 
-def _certified_split(family: str, n: int, lhs: SparsePoly, factors) -> FactorizationCertificate:
-    quotient, failed = divide_out(lhs, factors)
-    if failed == len(factors):
+def pencil_quotient(x, y, table: VarTable) -> SparsePoly:
+    """The Hurwitz determinant H_{m-1} = det[c_{2i-j}] over i, j = 1..m-1 of
+    q(mu) = det(x + mu y) = sum_k c_k mu^k (c_k = 0 outside 0..m), for m x m
+    polynomial matrices x and y on `table`; 1 when m < 2.
+
+    Both certificates take their quotient from it, with m = n - 1 and point
+    n as the base.  Sketch: with u_p = e_i - e_j, W_pq = (u_p^T T u_q)(u_p^T
+    S u_q) = (u_p (x) u_p)^T (T (x) S)(u_q (x) u_q), and the C(n,2) vectors
+    u_p (x) u_p are a basis of Sym^2(R^m).  So det W is a constant times the
+    determinant of X -> (S X T^T + T X S^T)/2 on symmetric X, with S and T
+    reduced to S' and T'.  For C = T'^-1 S' that is det T'^(m+1) prod_{i<=j}
+    (l_i + l_j)/2 over C's eigenvalues l, and Orlando's formula (Math. Ann.
+    71, 1911; Gantmacher, The Theory of Matrices II, ch. XV) turns
+    prod_{i<j} (l_i + l_j) into H_{m-1} / det T'^(m-1).  The constants: Z =
+    H for S' and T' the double differences u_ab - u_an - u_nb + u_nn of W's
+    tables, and sigma = (-1)^n H for S' = 2G and T' = diag(alpha_1..alpha_m)
+    + alpha_n J.  Both were found at seeded points, not proved, so each
+    certificate proves its own quotient by one re-multiplication.
+    """
+    rows = list(zip(rows_of(x), rows_of(y)))
+    m = len(rows)
+    if m < 2:
+        return SparsePoly.const(table, 1)
+    lifted = VarTable((*table.names, "mu"))
+    lift = lambda p, k: {(*e, k): c for e, c in p.terms.items()}
+    pencil = [[SparsePoly._raw(lifted, lift(a, 0) | lift(b, 1)) for a, b in zip(*row)]
+              for row in rows]
+    coeffs = [{} for _ in range(m + 1)]
+    for (*e, k), c in poly_det(pencil).terms.items():
+        coeffs[k][tuple(e)] = c
+    c = lambda k: SparsePoly._raw(table, coeffs[k] if 0 <= k <= m else {})
+    return c(1) if m == 2 else poly_det([[c(2 * i - j) for j in range(1, m)] for i in range(1, m)])
+
+
+def _certified_split(family: str, n: int, lhs, factors, quotient) -> FactorizationCertificate:
+    if not remultiplies(lhs, factors, quotient):
         raise VerificationError(f"{family}: re-multiplication check failed")
-    if failed is not None:
-        raise VerificationError(
-            f"{family}: factor {factors[failed].to_text()[:80]!r} does not divide exactly"
-        )
     return FactorizationCertificate(family, n, lhs, tuple(factors), quotient, True)
 
 
@@ -192,12 +228,16 @@ def factor_nbody(
 ) -> FactorizationCertificate:
     """Split the interaction determinant into e_{n-1} times the bordered
     distance determinant times a mixed quotient, all exactly."""
-    lhs = symbolic_nbody_det(n, equal_masses=equal_masses, long_running=long_running)
-    table = lhs.table
-    alpha = symbolic_masses(table, n, equal_masses)
-    e_factor = elementary_symmetric(n - 1, alpha)
-    delta = symbolic_cm_det(n, table=table)
-    return _certified_split("nbody", n, lhs, [e_factor, delta])
+    _nbody_cap(n, long_running)
+    table = mass_distance_table(n, equal_masses)
+    alpha = symbolic_masses(table, n, equal_masses).alpha
+    r = symbolic_squared_distances(table, n)
+    lhs = poly_det(nbody_matrix(alpha, r))
+    factors = [elementary_symmetric(n - 1, alpha), poly_det(cayley_menger(r))]
+    mass = [[alpha[-1] + alpha[a] if a == b else alpha[-1] for b in range(n - 1)]
+            for a in range(n - 1)]
+    h = pencil_quotient(reduced_edm(r, n - 1), mass, table)
+    return _certified_split("nbody", n, lhs, factors, -h if n % 2 else h)
 
 
 def factor_w(n: int) -> FactorizationCertificate:
@@ -214,7 +254,9 @@ def factor_w(n: int) -> FactorizationCertificate:
     lhs = poly_det(w_matrix(s, t))
     det_cs = poly_det(bordered(s))
     det_ct = poly_det(bordered(t))
-    return _certified_split("w", n, lhs, [det_cs, det_ct])
+    x, y = ([[u[a][b] - u[a][-1] - u[-1][b] + u[-1][-1] for b in range(n - 1)]
+             for a in range(n - 1)] for u in (s.entries, t.entries))
+    return _certified_split("w", n, lhs, [det_cs, det_ct], pencil_quotient(x, y, table))
 
 
 def specialize_to_masses_and_distances(

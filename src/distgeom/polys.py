@@ -32,8 +32,9 @@ Algebra", 8.4), one stable sort, and `np.add.reduceat` over runs of equal
 keys.  A determinant first builds its levels of minors as dense tables by
 scatter-adds (`_dense_level`).  A determinant comes back packed in either
 layout (`_PackedPoly`, decoded only when read), and both, `_Packing` and
-`_Int64Layout`, offer `pack`, `accumulate`, `divide` and `unpack`, so a
-certificate (`divide_out`) runs in lhs's layout and decodes only its quotient.
+`_Int64Layout`, offer `pack`, `accumulate`, `reproduces` and `unpack`, so a
+certificate's one re-multiplication (`remultiplies`) runs in lhs's layout
+and never decodes lhs.
 """
 
 from __future__ import annotations
@@ -188,11 +189,12 @@ class _Packing:
                         del remainder[target]
         return quotient
 
-    def reproduces(self, lhs: dict, product, quotient, packed: dict) -> bool:
-        """Whether product * quotient, `packed` here, is lhs.  The quotient's
-        keys come from divisions here, so its slots, like the product's, stay
-        below their guard bits, and no slot sum carries."""
-        return self.accumulate([(self.fit(product), packed, 1)]) == lhs
+    def reproduces(self, lhs: dict, product, quotient) -> bool:
+        """Whether product * quotient is lhs, whatever the quotient's origin.
+        `fit` holds every slot of both at most `top`, so a slot sum stays
+        below 2^bits and never carries; a sum past a guard bit is a key that
+        lhs does not have."""
+        return self.accumulate([(self.fit(product), self.fit(quotient), 1)]) == lhs
 
 
 @lru_cache(maxsize=None)
@@ -233,12 +235,9 @@ class _Int64Layout:
         order = keys.argsort(kind="stable")
         return keys[order], np.array(list(terms.values()), dtype=np.int64)[order]
 
-    def digits(self, keys, used=slice(None)):
-        return keys[:, None] // self.places[used] % self.radices[used]
-
     def unpack(self, packed) -> dict:
         keys, coeffs = packed
-        columns = self.digits(keys).T.tolist()  # zip(*columns) builds tuples fast
+        columns = (keys[:, None] // self.places % self.radices).T.tolist()  # zip(*): fast tuples
         return dict(zip(zip(*columns) if columns else [()] * len(keys), coeffs.tolist()))
 
     @staticmethod
@@ -250,62 +249,14 @@ class _Int64Layout:
             np.concatenate([np.multiply.outer(s * a[1], b[1]).ravel() for a, b, s in products]),
         )
 
-    def divide(self, packed, factor: SparsePoly):
-        """packed / factor as (keys, coeffs), None when factor does not
-        divide; `_Unfit` when the arrays cannot carry the division.
-
-        With c_L x^L F's grlex lead, weigh x^m by w(m) = L.m.  If L.L > L.k for
-        every other term x^k, c_L x^L is F's top w-form, so if lhs = F Q, the
-        top w-form of lhs - F Q_{>l} is c_L x^L Q_l.  So from the top level down,
-        each bucket of one w is summed and divided by c_L x^L; its products with
-        the other terms drop L.(L - k) >= 1 levels.  Levels fall, and the loop
-        ends unrejected exactly when lhs = F Q.  None: a digit out of L_v <= d_v
-        <= L_v + radix_v - 1 - deg_v F (Q meets it: deg_v Q = deg_v lhs - deg_v
-        F; it keeps key sums carry-free).  `_Unfit`: Fractions, a lead failing
-        the test, c_L not dividing a sum, or max|lhs| + |F|_1 max|q| reaching
-        2^63 (it bounds each partial sum at a key: its terms have distinct k).
-        Any layout whose radices bound lhs's digits serves, such as det B's
-        rows-based one: the room test alone keeps Q's key sums carry-free.
-        """
-        big, norm, q_max = int(abs(packed[1]).max()), sum(map(abs, factor.terms.values())), 0
-        if set(map(type, factor.terms.values())) != {int} or big + norm >= 1 << 63:
-            raise _Unfit  # also for a zero factor
-        degrees, radices = [max(column) for column in zip(*factor.terms)], self.radices.tolist()
-        (lead, c_lead), places = factor.leading_term(), self.places.tolist()
-        dot = lambda u, v: sum(a * b for a, b in zip(u, v))
-        rest = [(dot(lead, lead) - dot(lead, k), dot(k, places), -c)
-                for k, c in factor.terms.items() if k != lead]
-        if any(drop < 1 for drop, _, _ in rest) or max([dot(lead, radices), *degrees]) >= 1 << 63:
-            raise _Unfit  # a lead failing the test, or levels or degrees past int64
-        used = np.flatnonzero(degrees)  # any digit passes outside the factor's variables
-        low = np.array(lead, dtype=np.int64)[used]
-        room = self.radices[used] - 1 - np.array(degrees, dtype=np.int64)[used]
-        levels = self.digits(packed[0], used) @ low
-        buckets = {int(w): [tuple(a[levels == w] for a in packed)] for w in np.unique(levels)}
-        out = []
-        while buckets:
-            level = max(buckets)
-            if (summed := _sum_runs(*map(np.concatenate, zip(*buckets.pop(level))))) is None:
-                continue
-            if (((found := self.digits(summed[0], used) - low) < 0) | (found > room)).any():
-                return None
-            q_keys, q = summed[0] - dot(lead, places), summed[1] // c_lead
-            q_max = max(q_max, int(abs(q).max()))
-            if (summed[1] % c_lead).any() or big + norm * q_max >= 1 << 63:
-                raise _Unfit
-            out.append((q_keys, q))
-            for drop, key, coeff in rest:
-                buckets.setdefault(level - drop, []).append((q_keys + key, q * coeff))
-        return tuple(map(np.concatenate, zip(*out)))
-
-    def reproduces(self, lhs, product, quotient, packed) -> bool:
-        """Whether product * quotient, `packed` here, is lhs; `_Unfit` unless
-        their own layout fits in this one: max deg_v P + max deg_v Q <
-        radix_v (no digit carries), |P|_1 |Q|_1 < 2^63 (no sum overflows)."""
+    def reproduces(self, lhs, product, quotient) -> bool:
+        """Whether product * quotient is lhs; `_Unfit` unless their own
+        layout fits in this one: max deg_v P + max deg_v Q < radix_v (no
+        digit carries), |P|_1 |Q|_1 < 2^63 (no sum overflows)."""
         fit = _int64_layout([[product], [quotient]])
         if fit is None or (fit.radices > self.radices).any():
             raise _Unfit
-        got = self.accumulate([(self.pack(product.terms), packed, 1)])
+        got = self.accumulate([(self.pack(product.terms), self.pack(quotient.terms), 1)])
         return got is not None and all(map(np.array_equal, got, lhs))
 
 
@@ -315,7 +266,7 @@ def _sum_runs(keys, coeffs):
     order = keys.argsort(kind="stable")
     keys = keys[order]
     first = np.empty(len(keys), dtype=bool)  # first of each run of equal keys
-    first[0] = True
+    first[:1] = True  # a slice: zero products leave no keys
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     sums = np.add.reduceat(coeffs[order], starts)
@@ -600,7 +551,7 @@ class SparsePoly:
 
 class _PackedPoly(SparsePoly):
     """A SparsePoly held packed in `layout` (int64 (keys, coeffs) sorted by
-    key, or a packed-int dict), which `divide_out` reads; `terms` is decoded
+    key, or a packed-int dict), which `remultiplies` reads; `terms` is decoded
     on first access and cached, so every public behaviour is a SparsePoly's."""
 
     __slots__ = ("layout", "packed")
@@ -633,9 +584,8 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
     docstring): the remainder is a dict keyed by packed ints with a heap
     of its keys, and the divisibility test is the guard-bit test.  The
     loop ends only once the remainder is empty with every leading term
-    divided, which proves num == quotient * den; no re-multiplication
-    follows (a certificate re-multiplies its whole product once).  The
-    quotient comes back with exponent tuples.
+    divided, which proves num == quotient * den, so no re-multiplication
+    follows.  The quotient comes back with exponent tuples.
     """
     if not isinstance(num, SparsePoly) or not isinstance(den, SparsePoly):
         raise TypeError("exact_divide expects two polynomials")
@@ -645,35 +595,25 @@ def exact_divide(num: SparsePoly, den: SparsePoly):
     return None if quotient is None else SparsePoly._raw(num.table, packing.unpack(quotient))
 
 
-def divide_out(lhs: SparsePoly, factors):
-    """Divide lhs by each factor in turn and re-multiply their product
-    once: (quotient, None) when that gives lhs back, else (None, k) for the
-    first factor k that does not divide, or (None, len(factors)) when the
-    re-multiplication differs.
+def remultiplies(lhs: SparsePoly, factors, quotient: SparsePoly) -> bool:
+    """Whether the product of the factors times the quotient is lhs, by one
+    re-multiplication compared with lhs in lhs's layout.
 
     A determinant arrives packed (int64 arrays or a packed-int dict); any
-    other lhs is packed here once, in slots for every factor and product.
-    The divisions, the one re-multiplication and the comparison with lhs
-    run in that layout, and only the quotient is decoded.  The input picks
-    the division kernel (int64 where proven bounds fit); the one fallback
-    reruns the certificate on a plain lhs if lhs's layout cannot carry it.
+    other lhs is packed here once, in slots for itself, the product and the
+    quotient.  lhs is never decoded.  The one fallback reruns the check on
+    a plain lhs if lhs's layout cannot carry it.
     """
     product = math.prod(factors, start=SparsePoly.const(lhs.table, 1))
     if isinstance(lhs, _PackedPoly):
         layout, packed = lhs.layout, lhs.packed
     else:
-        layout = _packing(len(lhs.table), max(lhs.degree(), sum(f.degree() for f in factors if f)))
+        layout = _packing(len(lhs.table), max(lhs.degree(), product.degree(), quotient.degree()))
         packed = layout.pack(lhs.terms)
-    current = packed
     try:
-        for k, factor in enumerate(factors):
-            if (current := layout.divide(current, factor)) is None:
-                return None, k
-        quotient = SparsePoly._raw(lhs.table, layout.unpack(current))
-        same = layout.reproduces(packed, product, quotient, current)
+        return layout.reproduces(packed, product, quotient)
     except _Unfit:
-        return divide_out(SparsePoly._raw(lhs.table, lhs.terms), factors)
-    return (quotient, None) if same else (None, len(factors))
+        return remultiplies(SparsePoly._raw(lhs.table, lhs.terms), factors, quotient)
 
 
 def _normalize_symbolic(rows):
@@ -788,7 +728,7 @@ def poly_det(matrix) -> SparsePoly:
     expansion packs every entry once and keeps the minors packed: dense
     int64 tables, int64 arrays or packed-monomial dicts (see the module
     docstring).  A nonzero result stays packed in that layout and decodes
-    its exponent tuples on first access; `divide_out` reads it packed.
+    its exponent tuples on first access; `remultiplies` reads it packed.
     """
     rows = rows_of(matrix)
     n = len(rows)

@@ -1,6 +1,7 @@
 """Symbolic determinant splits, sign conventions, and kernel witnesses."""
 
 import inspect
+import math
 import os
 import random
 from fractions import Fraction
@@ -23,16 +24,21 @@ from distgeom import (
     symbolic_cm_det,
     symbolic_nbody_det,
 )
-from distgeom import factorization, polys, sampling
+from distgeom import exact, factorization, polys, sampling
+from distgeom.builders import bordered, reduced_edm, w_matrix
 from distgeom.core import VerificationError
 from distgeom.factorization import (
     _certified_split,
     distance_table,
     mass_distance_table,
     pair_table,
+    pencil_quotient,
     specialize_to_masses_and_distances,
     specialized_w,
     symbolic_bordered_masses_det,
+    symbolic_entry_table,
+    symbolic_masses,
+    symbolic_squared_distances,
 )
 from distgeom.polys import SparsePoly, VarTable
 
@@ -192,14 +198,14 @@ def packed_case():
 
 
 def _packed(lhs):
-    """lhs on int64 arrays in its own layout, as det B reaches divide_out."""
+    """lhs on int64 arrays in its own layout, as det B reaches remultiplies."""
     layout = polys._int64_layout([[lhs]])
     return polys._PackedPoly(lhs.table, layout, layout.pack(lhs.terms))
 
 
-def _split(lhs, factors):
+def _split(lhs, factors, quotient):
     try:
-        return _certified_split("test", 0, lhs, factors)
+        return _certified_split("test", 0, lhs, factors, quotient)
     except VerificationError as exc:
         return str(exc)
 
@@ -214,23 +220,19 @@ def _accumulate_calls(monkeypatch) -> list:
     return calls
 
 
-def _both_paths(monkeypatch, lhs, factors):
+def _both_paths(monkeypatch, lhs, factors, quotient):
     """The certificate or error text on the int64 route (lhs packed, if it
     is not already) and on the dict route (lhs as a plain SparsePoly), and
     the number of int64 accumulate calls the int64 route made."""
     with monkeypatch.context() as patch:
         calls = _accumulate_calls(patch)
-        packed = _split(lhs if type(lhs) is polys._PackedPoly else _packed(lhs), factors)
-    return packed, _split(SparsePoly._raw(lhs.table, lhs.terms), factors), len(calls)
+        packed = _split(lhs if type(lhs) is polys._PackedPoly else _packed(lhs), factors, quotient)
+    return packed, _split(SparsePoly._raw(lhs.table, lhs.terms), factors, quotient), len(calls)
 
 
-def _dict_path_calls(monkeypatch) -> list:
-    """Record each factor the dict route's heap division gets."""
-    calls = []
-    divide = polys._Packing.divide
-    spy = lambda self, num, factor: calls.append(factor) or divide(self, num, factor)
-    monkeypatch.setattr(polys._Packing, "divide", spy)
-    return calls
+def _plus_one_at_lead(q):
+    """q with 1 added to its leading coefficient."""
+    return q + SparsePoly(q.table, {q.leading_term()[0]: 1})
 
 
 class TestPackedCertificate:
@@ -239,16 +241,16 @@ class TestPackedCertificate:
 
     def test_same_certificate_on_both_paths(self, monkeypatch, packed_case):
         lhs, f1, f2, q = packed_case
-        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2], q)
         assert calls == 1
-        assert packed == plain
-        assert packed.quotient.terms == q.terms
-        assert {type(c) for c in packed.quotient.terms.values()} == {int}
+        assert packed == plain and packed.verified
         assert packed.to_json_dict() == plain.to_json_dict()
 
     @pytest.mark.parametrize("bad", ["monomial", "monomial-past-degree", "multi-term"])
     def test_non_dividing_factor_has_the_same_error(self, monkeypatch, packed_case, bad):
-        lhs, f1, f2, _ = packed_case
+        # The genuine quotient with a factor that does not divide lhs: both
+        # routes refuse the split with the same text.
+        lhs, f1, f2, q = packed_case
         table = lhs.table
         if bad == "monomial":
             factors = [SparsePoly(table, {(0, 0, 0, 1): 1}), f2]
@@ -256,51 +258,38 @@ class TestPackedCertificate:
             factors = [SparsePoly(table, {(0, 0, 0, 40): 1}), f2]
         else:
             factors = [f1, f2 + 1]
-        packed, plain, _ = _both_paths(monkeypatch, lhs, factors)
-        assert packed == plain
-        assert packed.startswith("test: factor ") and packed.endswith("does not divide exactly")
-
-    def test_failed_comparison_has_the_same_error(self, monkeypatch, packed_case):
-        # The last quotient gains 1 at its largest key: on the int64 route
-        # in the level division's arrays, on the dict route in the heap's.
-        lhs, f1, f2, _ = packed_case
-        divide, heap_divide, corrupted = polys._Int64Layout.divide, polys._Packing.divide, []
-
-        def int64_off_by_one(layout, packed, factor):
-            quotient = divide(layout, packed, factor)
-            if factor is f2:
-                keys, coeffs = quotient
-                coeffs[keys.argmax()] += 1
-                corrupted.append("int64")
-            return quotient
-
-        def heap_off_by_one(packing, num, factor):
-            quotient = heap_divide(packing, num, factor)
-            if factor is f2:
-                quotient[max(quotient)] += 1
-                corrupted.append("heap")
-            return quotient
-
-        monkeypatch.setattr(polys._Int64Layout, "divide", int64_off_by_one)
-        monkeypatch.setattr(polys._Packing, "divide", heap_off_by_one)
-        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
-        assert calls == 1
-        assert corrupted == ["int64", "heap"]
+        packed, plain, _ = _both_paths(monkeypatch, lhs, factors, q)
         assert packed == plain == "test: re-multiplication check failed"
 
+    def test_failed_comparison_has_the_same_error(self, monkeypatch, packed_case):
+        # The quotient gains 1 at its leading term: the one re-multiplication
+        # on the arrays, and the dict route's, both see it.
+        lhs, f1, f2, q = packed_case
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2], _plus_one_at_lead(q))
+        assert calls == 1
+        assert packed == plain == "test: re-multiplication check failed"
+
+    def test_zero_quotient_or_factor_fails_on_both_paths(self, monkeypatch, packed_case):
+        # A zero product leaves no keys to sum on the arrays; it is not lhs.
+        lhs, f1, f2, q = packed_case
+        zero = SparsePoly.zero(lhs.table)
+        for factors, quotient in [([f1, f2], zero), ([f1, zero], q)]:
+            packed, plain, calls = _both_paths(monkeypatch, lhs, factors, quotient)
+            assert calls == 1
+            assert packed == plain == "test: re-multiplication check failed"
+
     def test_one_term_coefficient_that_does_not_divide(self, monkeypatch, packed_case):
-        # The quotient needs Fractions: the whole certificate reruns on the
-        # dict route, the re-multiplication of a Fraction quotient too.
+        # The quotient needs Fractions: no int64 layout holds it, so the
+        # whole re-multiplication reruns on the dict route.
         lhs, f1, f2, q = packed_case
         f7 = SparsePoly(lhs.table, {(2, 0, 1, 0): 7})
-        packed, plain, calls = _both_paths(monkeypatch, lhs, [f7, f2])
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f7, f2], q.scale(Fraction(-3, 7)))
         assert calls == 0
-        assert packed == plain
-        assert packed.quotient == q.scale(Fraction(-3, 7))
+        assert packed == plain and packed.verified
 
     @pytest.mark.parametrize("bound", ["key", "coefficient"])
     def test_bound_past_int64_takes_the_dict_path(self, monkeypatch, packed_case, bound):
-        # No int64 layout holds such an lhs, so it reaches divide_out as a
+        # No int64 layout holds such an lhs, so it reaches remultiplies as a
         # plain SparsePoly and the dict route certifies it.
         lhs, f1, f2, q = packed_case
         if bound == "key":
@@ -312,59 +301,39 @@ class TestPackedCertificate:
             lhs, f1, q = lhs.scale(2**62), f1.scale(2**31), q.scale(2**31)
         assert polys._int64_layout([[lhs]]) is None
         calls = _accumulate_calls(monkeypatch)
-        assert _split(lhs, [f1, f2]).quotient == q
+        assert _split(lhs, [f1, f2], q).verified
+        assert _split(lhs, [f1, f2], _plus_one_at_lead(q)) == "test: re-multiplication check failed"
         assert calls == []
 
     def test_carrying_digit_sum_takes_the_dict_comparison(self, monkeypatch, packed_case):
-        # Divisions that succeed leave deg_v P + deg_v Q = deg_v lhs below
-        # the radix, so the last quotient gains a term w^(radix_w - 1) on
-        # both routes to make the int64 digit sum carry; the int64 route
-        # then compares nothing on its arrays and reruns on the dict route.
-        lhs, f1, f2, _ = packed_case
+        # A quotient term w^(radix_w - 1) would make the product's w digit
+        # carry on lhs's arrays, so the int64 route compares nothing there
+        # and reruns on the dict route, which rejects the quotient.
+        lhs, f1, f2, q = packed_case
         top = int(polys._int64_layout([[lhs]]).radices[0]) - 1
-        divide, heap_divide = polys._Int64Layout.divide, polys._Packing.divide
-
-        def int64_with_top_digit(layout, packed, factor):
-            quotient = divide(layout, packed, factor)
-            if factor is f2:
-                quotient = tuple(map(polys.np.append, quotient, (top * layout.places[0], 1)))
-            return quotient
-
-        def heap_with_top_digit(packing, num, factor):
-            quotient = heap_divide(packing, num, factor)
-            if factor is f2:
-                quotient.update(packing.pack({(top, 0, 0, 0): 1}))
-            return quotient
-
-        monkeypatch.setattr(polys._Int64Layout, "divide", int64_with_top_digit)
-        monkeypatch.setattr(polys._Packing, "divide", heap_with_top_digit)
-        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
+        wrong = q + SparsePoly(lhs.table, {(top, 0, 0, 0): 1})
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2], wrong)
         assert packed == plain == "test: re-multiplication check failed"
         assert calls == 0
 
     def test_norm_bound_past_int64_takes_the_dict_comparison(self, monkeypatch, packed_case):
         # Scale q until |f1 f2|_1 |q|_1 reaches 2^63 while lhs, whose terms
-        # partly cancel, still packs and both divisions stay on int64.
+        # partly cancel, still packs on int64 arrays.
         lhs, f1, f2, q = packed_case
         norm = lambda p: sum(map(abs, p.terms.values()))
         scale = (1 << 63) // (norm(f1 * f2) * norm(q)) + 1
         lhs, q = lhs.scale(scale), q.scale(scale)
         assert norm(lhs) < 1 << 63 <= norm(f1 * f2) * norm(q)
-        divide, divided = polys._Int64Layout.divide, []
-        monkeypatch.setattr(
-            polys._Int64Layout, "divide", lambda *args: divided.append(1) or divide(*args)
-        )
-        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2])
-        assert calls == 0 and len(divided) == 2
-        assert packed == plain
-        assert packed.quotient == q
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [f1, f2], q)
+        assert calls == 0
+        assert packed == plain and packed.verified
 
 
 @pytest.mark.parametrize("family, lhs_terms", [("nbody", 4524), ("w", 7866)])
 def test_certificate_never_packs_or_decodes_lhs(monkeypatch, family, lhs_terms):
-    # lhs leaves the minors expansion packed, and every division, the
-    # re-multiplication and the comparison read it so: across the whole
-    # certificate neither lhs nor the middle quotient is packed or decoded.
+    # lhs leaves the minors expansion packed, and the re-multiplication and
+    # the comparison read it so: across the whole certificate neither lhs
+    # nor lhs divided by one factor is packed or decoded.
     packed, unpacked = [], []
     pack, unpack = polys._Packing.pack, polys._Packing.unpack
     with monkeypatch.context() as patch:
@@ -374,15 +343,16 @@ def test_certificate_never_packs_or_decodes_lhs(monkeypatch, family, lhs_terms):
         assert cert.to_json_dict()["lhs_terms"] == lhs_terms
     assert type(cert.lhs) is polys._PackedPoly and cert.lhs.term_count() == lhs_terms
     middle = polys.exact_divide(cert.lhs, cert.factors[0])
-    assert len(cert.lhs.terms) == lhs_terms and len(cert.quotient.terms) in unpacked
+    assert len(cert.lhs.terms) == lhs_terms and len(cert.quotient.terms) in packed
     assert not {lhs_terms, len(middle.terms)} & set(packed + unpacked)
 
 
 @pytest.mark.parametrize("degree", [200, 300])
 def test_factor_past_the_slots_reruns_on_a_wide_layout(degree):
     # A dict-layout det has 1-byte slots, sized for itself alone; a factor
-    # of higher degree cannot pack there and must not set a guard bit or
-    # overflow a slot, but take the wide rerun that a plain lhs takes.
+    # or quotient of higher degree cannot pack there and must not set a
+    # guard bit or overflow a slot, but take the wide rerun that a plain lhs
+    # takes, which rejects a wrong quotient instead of aliasing lhs.
     table = VarTable(["x", "y"])
     x, y = (SparsePoly.variable(table, name) for name in table.names)
     det = polys.poly_det([[x, y], [y, x]])
@@ -391,14 +361,17 @@ def test_factor_past_the_slots_reruns_on_a_wide_layout(degree):
     with pytest.raises(polys._Unfit):
         det.layout.fit(factor)
     plain = SparsePoly._raw(table, dict(det.terms))
-    assert polys.divide_out(det, [factor]) == polys.divide_out(plain, [factor]) == (None, 0)
-    # A zero factor after it leaves the product degree at -1: a plain lhs
-    # still packs in slots that hold the factor, so the rerun ends.
-    both = [factor, SparsePoly.zero(table)]
-    assert polys.divide_out(det, both) == polys.divide_out(plain, both) == (None, 0)
+    wrong = x + y + x**degree  # the quotient of x - y but for one term
+    for lhs in (det, plain):
+        assert polys.remultiplies(lhs, [x - y], x + y)
+        assert not polys.remultiplies(lhs, [x - y], wrong)
+        assert not polys.remultiplies(lhs, [factor], x + y)
+        # A zero factor leaves the product degree at -1: a plain lhs still
+        # packs in slots that hold the quotient, so the rerun ends.
+        assert not polys.remultiplies(lhs, [x - y, SparsePoly.zero(table)], wrong)
     fresh = polys.poly_det([[x, y], [y, x]])
-    text = f"test: factor '1 * x^{degree} + -1 * y^{degree}' does not divide exactly"
-    assert _split(fresh, [factor]) == _split(plain, [factor]) == text
+    text = "test: re-multiplication check failed"
+    assert _split(fresh, [x - y], wrong) == _split(plain, [x - y], wrong) == text
 
 
 @pytest.fixture(scope="module")
@@ -413,7 +386,7 @@ class TestPackedDeterminant:
     """det B stays packed from the minors expansion to the comparison with
     the re-multiplied product."""
 
-    def test_one_decode_and_no_read_of_lhs_exponents(self, monkeypatch):
+    def test_no_decode_and_no_read_of_lhs_exponents(self, monkeypatch):
         decoded, read = [], []
         unpack, exponents = polys._Int64Layout.unpack, polys._exponents
         monkeypatch.setattr(
@@ -421,39 +394,34 @@ class TestPackedDeterminant:
         )
         monkeypatch.setattr(polys, "_exponents", lambda e, n: read.append(len(e)) or exponents(e, n))
         cert = factor_nbody(5, equal_masses=True, long_running=True)
-        assert cert.verified and decoded == [3815] == [len(cert.quotient.terms)]
+        assert cert.verified and decoded == []
         assert read and max(read) < 64063
         assert cert.quotient.to_text() == _golden("sigma_n5_equal.txt")
-        assert cert.to_json_dict()["lhs_terms"] == 64063 and decoded == [3815]
+        assert cert.to_json_dict()["lhs_terms"] == 64063 and decoded == []
 
     def test_forged_lhs_fails_the_re_multiplication(self, monkeypatch, equal_five):
-        # One coefficient of det B off by 1.  The divisions are handed the
-        # genuine arrays, so only the comparison can see the forgery.
+        # One coefficient of det B off by 1, against the genuine quotient:
+        # only the comparison can see the forgery.
         lhs = equal_five.lhs
         keys, coeffs = lhs.packed
         coeffs = coeffs.copy()
         coeffs[len(coeffs) // 2] += 1
         forged = polys._PackedPoly(lhs.table, lhs.layout, (keys, coeffs))
-        divide = polys._Int64Layout.divide
-        genuine = lambda packed: lhs.packed if packed is forged.packed else packed
-        monkeypatch.setattr(
-            polys._Int64Layout, "divide", lambda layout, packed, f: divide(layout, genuine(packed), f)
-        )
+        factors, quotient = list(equal_five.factors), equal_five.quotient
         calls = _accumulate_calls(monkeypatch)
-        assert _split(forged, list(equal_five.factors)) == "test: re-multiplication check failed"
+        assert _split(forged, factors, quotient) == "test: re-multiplication check failed"
         assert calls == [1]
-        assert _split(lhs, list(equal_five.factors)).quotient == equal_five.quotient
+        assert _split(lhs, factors, quotient).verified
 
     def test_non_dividing_factor_has_the_dict_path_text(self, monkeypatch, equal_five):
         e4, delta = equal_five.factors
-        packed, plain, _ = _both_paths(monkeypatch, equal_five.lhs, [delta + 1, e4])
-        assert packed == plain
-        assert packed.startswith("test: factor ") and packed.endswith("does not divide exactly")
+        packed, plain, _ = _both_paths(monkeypatch, equal_five.lhs, [delta + 1, e4], equal_five.quotient)
+        assert packed == plain == "test: re-multiplication check failed"
 
 
 class TestLevelDivision:
-    """The int64 division of the packed route, level by level: every shipped
-    factor takes it, and each way out agrees with the dict route."""
+    """The packed route's one re-multiplication: every golden quotient
+    takes it, and each way out agrees with the dict route."""
 
     def test_goldens_through_the_packed_route(self, monkeypatch):
         certs = [
@@ -463,121 +431,83 @@ class TestLevelDivision:
             (factor_w(2), "z_n2.txt"),
             (factor_w(3), "z_n3.txt"),
         ]
-        equal = factor_nbody(3, equal_masses=True)
-        handed = _dict_path_calls(monkeypatch)
-        divide, divided = polys._Int64Layout.divide, []
-        monkeypatch.setattr(
-            polys._Int64Layout, "divide", lambda *args: divided.append(1) or divide(*args)
-        )
+        calls = _accumulate_calls(monkeypatch)
         for cert, golden in certs:
-            quotient, failed = polys.divide_out(_packed(cert.lhs), list(cert.factors))
-            assert failed is None
-            assert quotient.to_text() == _golden(golden)
-            assert {type(c) for c in quotient.terms.values()} == {int}
-        assert polys.divide_out(_packed(equal.lhs), list(equal.factors)) == (equal.quotient, None)
-        assert len(divided) == 12 and handed == []
-
-    def test_lead_failing_the_weight_test_takes_the_dict_path(self, monkeypatch):
-        # Lead x*y: L.L = 2 = L.(y^2), so x*y is not the whole top form.
-        table = VarTable(["x", "y"])
-        rng = random.Random(211)
-        x, y = (SparsePoly.variable(table, v) for v in table.names)
-        factor = x * y + y**2
-        q = SparsePoly(table, _random_terms(rng, 2, 40, 9, 50))
-        handed = _dict_path_calls(monkeypatch)
-        packed, plain, _ = _both_paths(monkeypatch, factor * q, [factor])
-        assert len(handed) == 2  # the int64 route's fallback, then the dict route
-        assert packed == plain
-        assert packed.quotient == q
+            quotient = SparsePoly.parse_text(cert.lhs.table, _golden(golden))
+            assert polys.remultiplies(_packed(cert.lhs), list(cert.factors), quotient)
+            assert not polys.remultiplies(_packed(cert.lhs), list(cert.factors), quotient + 1)
+        equal = factor_nbody(3, equal_masses=True)
+        assert polys.remultiplies(_packed(equal.lhs), list(equal.factors), equal.quotient)
+        assert len(calls) == 11
 
     def test_multi_term_lead_coefficient_that_does_not_divide(self, monkeypatch):
-        # Coefficients 1..6 of q: 7 * c_L divides no bucket, so the first
-        # level sends the certificate to the dict route, and q / 7 needs
-        # Fractions.
+        # Coefficients 1..6 of q: 7 * c_L divides none of lhs's coefficients,
+        # so the quotient q / 7 needs Fractions, which no int64 layout holds,
+        # and the certificate reruns on the dict route.
         table = VarTable(["x", "y", "z"])
         rng = random.Random(212)
         f = SparsePoly(table, _random_terms(rng, 3, 12, 3, 9))
         q = SparsePoly(table, {e: abs(c) % 6 + 1 for e, c in _random_terms(rng, 3, 60, 6, 9).items()})
-        handed = _dict_path_calls(monkeypatch)
-        packed, plain, _ = _both_paths(monkeypatch, f * q, [f.scale(7)])
-        assert len(handed) == 2  # the int64 route's fallback, then the dict route
-        assert packed == plain
-        assert packed.quotient == q.scale(Fraction(1, 7))
-
-    def test_partial_quotient_past_the_degree_limit(self, monkeypatch):
-        # F = x + y, lhs = F q + x^11 y^11 with q's degrees at most 10: the
-        # top level's digit y^11 passes radix_y - 1 - deg_y F = 10.
-        table = VarTable(["x", "y"])
-        rng = random.Random(213)
-        x, y = (SparsePoly.variable(table, v) for v in table.names)
-        q = SparsePoly(table, _random_terms(rng, 2, 50, 10, 50))
-        lhs = (x + y) * q + x**11 * y**11
-        handed = _dict_path_calls(monkeypatch)
-        packed, plain, _ = _both_paths(monkeypatch, lhs, [x + y])
-        assert handed == [x + y]  # only the dict route's own call
-        assert packed == plain == "test: factor '1 * x + 1 * y' does not divide exactly"
+        packed, plain, calls = _both_paths(monkeypatch, f * q, [f.scale(7)], q.scale(Fraction(1, 7)))
+        assert calls == 0
+        assert packed == plain and packed.verified
 
     def test_coefficient_bound_past_int64_takes_the_dict_path(self, monkeypatch):
         # lhs = 3 * 2^60 (x^5 - y^5) has 1-norm 1.5 * 2^62, so its own layout
-        # fits; max|lhs| + |F|_1 max|q| = 9 * 2^60 passes 2^63 at level one.
+        # fits; |F|_1 |q|_1 = 30 * 2^60 passes 2^63, so the arrays cannot
+        # re-multiply and the dict route certifies it.
         table = VarTable(["x", "y"])
         x, y = (SparsePoly.variable(table, v) for v in table.names)
         factor = 3 * x - 3 * y
         q = sum((x**i * y ** (4 - i) for i in range(5)), SparsePoly.zero(table)).scale(2**60)
         lhs = factor * q
         assert polys._int64_layout([[lhs]]) is not None
-        handed = _dict_path_calls(monkeypatch)
-        packed, plain, _ = _both_paths(monkeypatch, lhs, [factor])
-        assert len(handed) == 2  # the int64 route's fallback, then the dict route
-        assert packed == plain
-        assert packed.quotient == q
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [factor], q)
+        assert calls == 0
+        assert packed == plain and packed.verified
 
-    def test_random_divisions_match_the_dict_path(self, monkeypatch):
-        # Exact, non-dividing, and Fraction quotients (f / 2 f), some past
-        # the first level; a few leads fail the weight test.
+    def test_random_remultiplications_match_the_dict_path(self, monkeypatch):
+        # Right, wrong, and Fraction quotients (f / 2 f), some past lhs's
+        # own radices or with a digit sum that carries.
         rng = random.Random(214)
         table = VarTable(["x", "y", "z"])
         for _ in range(40):
             f = SparsePoly(table, _random_terms(rng, 3, rng.randint(1, 8), 4, 9))
             q = SparsePoly(table, _random_terms(rng, 3, 25, 5, 20))
-            for lhs, factor in [(f * q, f), (f * q + 1, f), (f * q, f.scale(2))]:
-                packed, plain, _ = _both_paths(monkeypatch, lhs, [factor])
+            lhs = f * q
+            stray = SparsePoly(table, _random_terms(rng, 3, 1, 9, 9))
+            for factor, quotient in [(f, q), (f, q + 1), (f.scale(2), q.scale(Fraction(1, 2))),
+                                     (f, q + stray), (f, _plus_one_at_lead(q))]:
+                packed, plain, _ = _both_paths(monkeypatch, lhs, [factor], quotient)
                 assert packed == plain
 
-    @pytest.mark.parametrize(
-        "cause", ["fraction-factor", "weight-test", "coefficient-bound", "carrying-product"]
-    )
+    @pytest.mark.parametrize("cause", ["fraction-factor", "coefficient-bound", "carrying-product"])
     def test_fallback_reruns_the_certificate_on_the_dict_route(self, monkeypatch, cause):
         # Each cause sends the int64 route back to lhs, decoded, on the dict
-        # route: the same certificate, and the same error text for an lhs
-        # the factor does not divide; the arrays never re-multiply.
+        # route: the same certificate, and the same error text for a wrong
+        # quotient.  Only the right quotient of a carrying-product case
+        # re-multiplies on the arrays; its wrong one carries.
         table = VarTable(["x", "y"])
         x, y = (SparsePoly.variable(table, v) for v in table.names)
         q = SparsePoly(table, _random_terms(random.Random(215), 2, 30, 6, 50))
         factor = x + 2 * y
+        wrong = q + x**3 * y**9
         if cause == "fraction-factor":
-            factor, q = factor.scale(Fraction(1, 2)), q.scale(2)
-        elif cause == "weight-test":
-            factor = x * y + y**2
+            factor, q, wrong = factor.scale(Fraction(1, 2)), q.scale(2), wrong.scale(2)
         elif cause == "coefficient-bound":  # as in the test above
             factor = 3 * x - 3 * y
             q = sum((x**i * y ** (4 - i) for i in range(5)), SparsePoly.zero(table)).scale(2**60)
-        else:
-            divide = polys._Int64Layout.divide
-
-            def with_top_digit(layout, packed, f):  # makes the product's x digit carry
-                out = divide(layout, packed, f)
-                top = (layout.radices[0] - 1) * layout.places[0]
-                return out and tuple(map(polys.np.append, out, (top, 1)))
-
-            monkeypatch.setattr(polys._Int64Layout, "divide", with_top_digit)
+            wrong = q + x**3 * y
         lhs = factor * q
-        handed = _dict_path_calls(monkeypatch)
-        packed, plain, calls = _both_paths(monkeypatch, lhs, [factor])
-        assert len(handed) == 2 and calls == 0  # the fallback, then the dict route
-        assert packed == plain and packed.quotient == q
-        packed, plain, calls = _both_paths(monkeypatch, lhs + x**3 * y**9, [factor])
-        assert packed == plain == f"test: factor {factor.to_text()[:80]!r} does not divide exactly"
+        if cause == "carrying-product":  # a quotient term whose x digit carries
+            top = int(polys._int64_layout([[lhs]]).radices[0]) - 1
+            wrong = q + x**top
+        assert polys._int64_layout([[lhs]]) is not None
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [factor], q)
+        assert packed == plain and packed.verified
+        assert calls == (1 if cause == "carrying-product" else 0)
+        packed, plain, calls = _both_paths(monkeypatch, lhs, [factor], wrong)
+        assert packed == plain == "test: re-multiplication check failed"
         assert calls == 0
 
 
@@ -587,8 +517,9 @@ class TestLevelDivision:
 def test_generic_five_body_certificate():
     """factor_nbody(5) with generic masses: the full certificate, and sigma
     against `nbody_sigma_value` (the Bareiss kernel, no shared expansion
-    code) at 3 seeded rational points.  About 12 s and a peak RSS of
-    1.04 GB on a 2-core x86-64 box (Python 3.11, numpy 2.4)."""
+    code) at 3 seeded rational points.  About 10 s, a peak RSS of 1.02 GB
+    and a tracemalloc live peak of 0.81 GB on a 2-core x86-64 box (Python
+    3.11, numpy 2.4)."""
     cert = factor_nbody(5, long_running=True)
     assert cert.verified
     assert len(cert.quotient.terms) == 34680
@@ -634,6 +565,117 @@ class TestFactorW:
             nbody = symbolic_nbody_det(n, table=target)
             pairs = n * (n - 1) // 2
             assert specialized == (nbody if pairs % 2 == 0 else -nbody)
+
+
+def _nbody_pencil(n, equal_masses=False):
+    """(S', T', table) for sigma_n: S' = 2G at base point n, and T' =
+    diag(alpha_1..alpha_{n-1}) + alpha_n J."""
+    table = mass_distance_table(n, equal_masses)
+    alpha = symbolic_masses(table, n, equal_masses).alpha
+    mass = [[alpha[-1] + (alpha[a] if a == b else 0) for b in range(n - 1)] for a in range(n - 1)]
+    return reduced_edm(symbolic_squared_distances(table, n), n - 1), mass, table
+
+
+def _w_pencil(n):
+    """(S', T', table) for Z_n: the double differences u_ab - u_an - u_nb +
+    u_nn of the generic tables s and t."""
+    table = pair_table(n)
+    pencil = []
+    for prefix in "st":
+        u = symbolic_entry_table(table, n, prefix).entries
+        pencil.append([[u[a][b] - u[a][n - 1] - u[n - 1][b] + u[n - 1][n - 1]
+                        for b in range(n - 1)] for a in range(n - 1)])
+    return (*pencil, table)
+
+
+def _off_int64(monkeypatch):
+    """Make every int64 step of `polys` raise."""
+    def refuse(*args):
+        raise AssertionError("the int64 layer ran")
+
+    monkeypatch.setattr(polys._Int64Layout, "accumulate", staticmethod(refuse))
+    monkeypatch.setattr(polys, "_dense_level", refuse)
+    monkeypatch.setattr(polys, "_int64_layout", refuse)
+
+
+def _at(poly, point):
+    """poly at a rational point (one value per variable), in integers: each
+    term is brought over the common denominator prod_k b_k^(deg_k poly)."""
+    point = [Fraction(v) for v in point]
+    degrees = [max(column) for column in zip(*poly.terms)]
+    common = math.prod(v.denominator**d for v, d in zip(point, degrees))
+    total = 0
+    for exp, c in poly.terms.items():
+        num, den = c, 1
+        for v, e in zip(point, exp):
+            if e:
+                num, den = num * v.numerator**e, den * v.denominator**e
+        total += num * (common // den)
+    return Fraction(total, common)
+
+
+class TestPencilQuotient:
+    """sigma_n = (-1)^n H and Z_n = H from the (n-1) x (n-1) pencil, called
+    directly: an oracle that never expands det B or det W."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_orlando_on_a_diagonal_pencil(self, m):
+        # q(mu) = prod (mu + l_i): H_{m-1} = prod_{i<j} (l_i + l_j).  From
+        # m = 4 on, the Hurwitz matrix reads c_k at negative k.
+        table = VarTable([f"l_{i + 1}" for i in range(m)])
+        l = [SparsePoly.variable(table, name) for name in table.names]
+        x = [[l[a] if a == b else SparsePoly.zero(table) for b in range(m)] for a in range(m)]
+        y = [[SparsePoly.const(table, int(a == b)) for b in range(m)] for a in range(m)]
+        pairs = [l[i] + l[j] for i in range(m) for j in range(i + 1, m)]
+        assert pencil_quotient(x, y, table) == math.prod(pairs, start=SparsePoly.const(table, 1))
+
+    @pytest.mark.parametrize("n, equal_masses, golden", [
+        (2, False, "sigma_n2.txt"), (3, False, "sigma_n3.txt"),
+        (4, False, "sigma_n4.txt"), (5, True, "sigma_n5_equal.txt"),
+    ])
+    def test_sigma_goldens(self, monkeypatch, n, equal_masses, golden):
+        _off_int64(monkeypatch)
+        h = pencil_quotient(*_nbody_pencil(n, equal_masses))
+        assert (h if n % 2 == 0 else -h).to_text() == _golden(golden)
+
+    @pytest.mark.parametrize("n, golden", [(2, "z_n2.txt"), (3, "z_n3.txt")])
+    def test_z_goldens(self, monkeypatch, n, golden):
+        _off_int64(monkeypatch)
+        assert pencil_quotient(*_w_pencil(n)).to_text() == _golden(golden)
+
+    def test_generic_sigma_5_matches_bareiss_off_int64(self, monkeypatch):
+        # nbody_sigma_value divides exact.det(B) by e_4 and the bordered
+        # determinant (Bareiss), sharing no code with `polys`.
+        _off_int64(monkeypatch)
+        sigma = -pencil_quotient(*_nbody_pencil(5))
+        assert len(sigma.terms) == 34680
+        rng = random.Random(55)
+        for _ in range(3):
+            r = distances(sampling.random_nonsingular_configuration(rng, 5, 4))
+            alpha = sampling.random_positive_alpha(rng, 5)
+            assert _at(sigma, [*alpha, *r.squared_values]) == nbody_sigma_value(alpha, r)
+
+    def test_z4_past_the_w_cap(self):
+        """Z_4, which factor_w refuses, exactly at 3 seeded rational table
+        pairs against det W / (det C_s det C_t).  If Z_4 were wrong, det W -
+        det C_s det C_t Z_4 would be a nonzero polynomial of degree at most
+        12 in the 32 entries.  Each entry is a / b with a uniform in
+        [-2^20, 2^20) and b in [1, 2^10], so it takes any one value with
+        probability at most 2^-21 (at most one a per b), and by
+        Schwartz-Zippel a point is a root with probability at most 12 / 2^21
+        < 6e-6; all three, below 2e-16."""
+        with pytest.raises(ResourceCapError):
+            factor_w(4)
+        z = pencil_quotient(*_w_pencil(4))
+        assert len(z.terms) == 61344 and z.degree() == 6
+        rng = random.Random(44)
+        entry = lambda: Fraction(rng.randrange(-2**20, 2**20), rng.randint(1, 2**10))
+        for _ in range(3):
+            s, t = (GenericEntryTable([[entry() for _ in range(4)] for _ in range(4)]) for _ in "st")
+            det_cs, det_ct = (exact.det(bordered(u).to_lists()) for u in (s, t))
+            assert det_cs and det_ct
+            det_w = exact.det(w_matrix(s, t).to_lists())
+            assert _at(z, [v for u in (s, t) for row in u.entries for v in row]) == det_w / (det_cs * det_ct)
 
 
 class TestCaps:

@@ -524,12 +524,10 @@ class TestInt64Accumulate:
         layout = polys._int64_layout([[lhs]])
         packed = polys._PackedPoly(lhs.table, layout, layout.pack(lhs.terms))
         calls = _int64_calls(monkeypatch)
-        quotient, failed = polys.divide_out(packed, [p])
-        assert failed is None and calls == [1]
-        assert quotient.terms == q.terms
-        assert {type(c) for c in quotient.terms.values()} == {int}
-        assert polys.divide_out(lhs, [p]) == (quotient, None)
-        assert calls == [1]
+        assert polys.remultiplies(packed, [p], q) and calls == [1]
+        assert not polys.remultiplies(packed, [p], q + 1) and calls == [1, 1]
+        assert polys.remultiplies(lhs, [p], q) and not polys.remultiplies(lhs, [p], q + 1)
+        assert calls == [1, 1]
 
     # Each matrix is a ring image of one the int64 step takes, so its
     # determinant is known; none may reach the int64 step.
@@ -564,8 +562,8 @@ class TestInt64Accumulate:
         calls = _int64_calls(monkeypatch)
         lhs = p * q
         assert lhs.terms == _oracle_mul(p.terms, q.terms)
-        assert polys._int64_layout([[lhs]]) is None  # so no int64 lhs reaches divide_out
-        assert polys.divide_out(lhs, [p]) == (q, None)
+        assert polys._int64_layout([[lhs]]) is None  # so no int64 lhs reaches remultiplies
+        assert polys.remultiplies(lhs, [p], q) and not polys.remultiplies(lhs, [p], q + 1)
         assert calls == []
 
 
