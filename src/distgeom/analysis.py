@@ -189,10 +189,11 @@ class EmbeddingResult:
 def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
     """Reconstruct points from distances by spectral factorization.
 
-    Factor the reduced matrix M = Q diag(lambda) Q^T, keep the eigenvalues
-    above tol * max(|lambda|, 1), and read points off the rows of
-    sqrt(lambda/2) Q^T with the last point pinned at the origin.  The
-    minimal embedding dimension is the count of retained eigenvalues.
+    Factor the reduced matrix M = Q diag(lambda) Q^T, keep the largest
+    eigenvalues, and read points off the rows of sqrt(lambda/2) Q^T with
+    the last point pinned at the origin.  The minimal embedding dimension
+    is the count of retained eigenvalues: the exact rank of M for exact
+    vectors, and those above tol * max(|lambda|, 1) for float vectors.
     Exact vectors read M off the shared integer reduced matrix L M as
     doubles v / L, each rounded once, as float(Fraction) would; the
     residual reads given exact distances (p, q) as p / q the same way.  Distance
@@ -205,7 +206,7 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
         return EmbeddingResult(PointConfiguration([()]), 0, 0.0)
     verdict = None
     if r.is_exact():
-        rows, scale, (verdict, _) = _integer_reduced(r)
+        rows, scale, (verdict, rank) = _integer_reduced(r)
         try:
             m = np.array([[v / scale for v in row] for row in rows])
         except OverflowError:
@@ -225,12 +226,12 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
             f"(eigenvalue {min_eig:.6g})",
             min_eig,
         )
-    order = np.argsort(eigvals)[::-1]
-    kept = [int(i) for i in order if float(eigvals[i]) > thr]
+    order = [int(i) for i in np.argsort(eigvals)[::-1]]
+    kept = order[:rank] if verdict else [i for i in order if float(eigvals[i]) > thr]
     d = len(kept)
     diffs = np.zeros((d, n - 1))
     for row, i in enumerate(kept):
-        diffs[row] = math.sqrt(float(eigvals[i]) / 2.0) * eigvecs[:, i]
+        diffs[row] = math.sqrt(max(float(eigvals[i]), 0.0) / 2.0) * eigvecs[:, i]
     points = [tuple(float(x) for x in diffs[:, col]) for col in range(n - 1)]
     points.append((0.0,) * d)
     given = [p / q for p, q in r.ratios] if r.ratios else [float(v) for v in r.values]

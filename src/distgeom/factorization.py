@@ -8,8 +8,9 @@ quotient.  Both quotients come from one (n-1) x (n-1) pencil
 (`pencil_quotient`), each split is proved by one exact re-multiplication,
 and both are packaged as certificates.
 
-Also here: the entrywise and determinant-level reductions of the
-generalized matrix to the interaction matrix, the classical three-point
+Also here: the reduction of the generalized matrix to the interaction
+matrix, entrywise and through the generalized split run on the
+specialized tables (`sign_dictionary`), the classical three-point
 determinant identity in unsquared distances, and exact kernel witnesses
 for singular tables.
 """
@@ -37,7 +38,7 @@ from .core import (
     alpha_values,
     elementary_symmetric,
 )
-from .polys import SparsePoly, VarTable, exact_divide, poly_det, remultiplies
+from .polys import SparsePoly, VarTable, poly_det, remultiplies
 from .scalars import all_exact, rows_of
 
 SYMBOLIC_CAP = 5
@@ -240,6 +241,14 @@ def factor_nbody(
     return _certified_split("nbody", n, lhs, factors, -h if n % 2 else h)
 
 
+def _w_split(n: int, s: GenericEntryTable, t: GenericEntryTable, table: VarTable):
+    lhs = poly_det(w_matrix(s, t))
+    factors = [poly_det(bordered(s)), poly_det(bordered(t))]
+    x, y = ([[u[a][b] - u[a][-1] - u[-1][b] + u[-1][-1] for b in range(n - 1)]
+             for a in range(n - 1)] for u in (s.entries, t.entries))
+    return _certified_split("w", n, lhs, factors, pencil_quotient(x, y, table))
+
+
 def factor_w(n: int) -> FactorizationCertificate:
     """Split the generalized pair-product determinant into the two bordered
     table determinants times a quotient, over fully generic tables.  Capped
@@ -251,56 +260,30 @@ def factor_w(n: int) -> FactorizationCertificate:
     table = pair_table(n)
     s = symbolic_entry_table(table, n, "s")
     t = symbolic_entry_table(table, n, "t")
-    lhs = poly_det(w_matrix(s, t))
-    det_cs = poly_det(bordered(s))
-    det_ct = poly_det(bordered(t))
-    x, y = ([[u[a][b] - u[a][-1] - u[-1][b] + u[-1][-1] for b in range(n - 1)]
-             for a in range(n - 1)] for u in (s.entries, t.entries))
-    return _certified_split("w", n, lhs, [det_cs, det_ct], pencil_quotient(x, y, table))
-
-
-def specialize_to_masses_and_distances(
-    poly: SparsePoly, n: int, target: VarTable
-) -> SparsePoly:
-    """Map generic table variables onto the mass/distance specialization.
-
-    s becomes the squared-distance table (zero diagonal, r atoms off it)
-    and t the diagonal mass table, both over the target variable table:
-    the tables `specialized_w` builds.
-    """
-    s = GenericEntryTable.from_distance_vector(symbolic_squared_distances(target, n))
-    t = GenericEntryTable.diagonal(symbolic_masses(target, n).alpha)
-    images = [v for table in (s, t) for row in table.entries for v in row]
-    return poly.substitute(dict(zip(pair_table(n).names, images)), target)
+    return _w_split(n, s, t, table)
 
 
 @dataclass(frozen=True)
 class SignDictionaryReport:
     """Exact reduction of the generalized matrix to the interaction matrix.
 
-    entrywise_ok: the specialized generalized matrix is the entrywise
-    negative of the interaction matrix.  det_ok: its determinant equals
-    (-1)^(C(n,2)) times the interaction determinant.  quotient_ok: the
-    interaction quotient equals (-1)^(C(n,2)+1) times the specialized
-    generalized quotient.  substitution_ok: for n <= 3 the specialized
-    quotient obtained by substitution into the generic split agrees with
-    the one obtained by direct division (vacuously true otherwise).
+    The generalized split runs on the specialized tables (s the
+    squared-distance table, t the diagonal mass table) by `factor_w`'s own
+    route, so its quotient is proved by re-multiplication.  entrywise_ok:
+    the specialized generalized matrix is the entrywise negative of the
+    interaction matrix.  det_ok: its determinant equals (-1)^(C(n,2)) times
+    the interaction determinant.  quotient_ok: the interaction quotient
+    equals (-1)^(C(n,2)+1) times the specialized generalized quotient.
     """
 
     n: int
     entrywise_ok: bool
     det_ok: bool
     quotient_ok: bool
-    substitution_ok: bool
 
     @property
     def ok(self) -> bool:
-        return (
-            self.entrywise_ok
-            and self.det_ok
-            and self.quotient_ok
-            and self.substitution_ok
-        )
+        return self.entrywise_ok and self.det_ok and self.quotient_ok
 
 
 def sign_dictionary(n: int) -> SignDictionaryReport:
@@ -310,26 +293,15 @@ def sign_dictionary(n: int) -> SignDictionaryReport:
         raise ResourceCapError(f"sign dictionary is symbolic and capped at n <= 4, got {n}")
     cert = factor_nbody(n)
     table = cert.lhs.table
-    w_spec, entrywise_ok = specialized_w(
-        symbolic_masses(table, n), symbolic_squared_distances(table, n)
-    )
-    det_w = poly_det(w_spec)
-    pairs = PairSpace(n).size
-    det_ok = det_w == (cert.lhs if pairs % 2 == 0 else -cert.lhs)
-    e_factor, delta = cert.factors
-    z_spec = exact_divide(det_w, -(e_factor * delta))
-    if z_spec is None:
-        raise VerificationError(
-            "specialized generalized determinant did not divide by its factors"
-        )
-    expected = z_spec if (pairs + 1) % 2 == 0 else -z_spec
-    quotient_ok = cert.quotient == expected
-    substitution_ok = True
-    if n <= W_CAP:
-        w_cert = factor_w(n)
-        z_sub = specialize_to_masses_and_distances(w_cert.quotient, n, table)
-        substitution_ok = z_sub == z_spec
-    return SignDictionaryReport(n, entrywise_ok, det_ok, quotient_ok, substitution_ok)
+    alpha = symbolic_masses(table, n)
+    r = symbolic_squared_distances(table, n)
+    spec = _w_split(n, GenericEntryTable.from_distance_vector(r),
+                    GenericEntryTable.diagonal(alpha.alpha), table)
+    entrywise_ok = specialized_w(alpha, r)[1]
+    odd = PairSpace(n).size % 2
+    det_ok = spec.lhs == (-cert.lhs if odd else cert.lhs)
+    quotient_ok = cert.quotient == (spec.quotient if odd else -spec.quotient)
+    return SignDictionaryReport(n, entrywise_ok, det_ok, quotient_ok)
 
 
 def specialized_w(alpha, r: DistanceVector):

@@ -174,12 +174,20 @@ class TestEmbed:
         assert doc["error"] == "outside"
         assert -1e-11 < doc["min_eigenvalue"] < 0
 
-    @pytest.mark.parametrize("r, d", [("1,1,2", 1), ("0,0,0", 0)])
-    def test_exact_embed_accepts_the_boundary(self, capsys, r, d):
+    # The last case has a float eigenvalue of about 1.6e-12, below
+    # tol * max: exact `embed` takes d from the exact rank that `check`
+    # prints, not from the float threshold.
+    @pytest.mark.parametrize("r, membership, d", [
+        ("1,1,2", "boundary", 1), ("0,0,0", "boundary", 0),
+        ("1,1,1.999999999999", "interior", 2),
+    ], ids=["1,1,2-1", "0,0,0-0", "1,1,1.999999999999-2"])
+    def test_exact_embed_accepts_the_boundary(self, capsys, r, membership, d):
         code, out, _ = _run(capsys, "check", "--r", r)
-        assert (code, json.loads(out)["membership"]) == (0, "boundary")
+        assert (code, json.loads(out)["membership"]) == (0, membership)
+        assert json.loads(out)["rank"] == d
         code, out, _ = _run(capsys, "embed", "--r", r)
-        assert code == 0 and json.loads(out)["d"] == d
+        doc = json.loads(out)
+        assert code == 0 and doc["d"] == d and doc["residual"] < 1e-12
 
 
 class TestFactor:

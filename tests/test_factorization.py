@@ -1,5 +1,6 @@
 """Symbolic determinant splits, sign conventions, and kernel witnesses."""
 
+import dataclasses
 import inspect
 import math
 import os
@@ -24,7 +25,7 @@ from distgeom import (
     symbolic_cm_det,
     symbolic_nbody_det,
 )
-from distgeom import exact, factorization, polys, sampling
+from distgeom import exact, factorization, polys, sampling, suites
 from distgeom.builders import bordered, reduced_edm, w_matrix
 from distgeom.core import VerificationError
 from distgeom.factorization import (
@@ -33,7 +34,6 @@ from distgeom.factorization import (
     mass_distance_table,
     pair_table,
     pencil_quotient,
-    specialize_to_masses_and_distances,
     specialized_w,
     symbolic_bordered_masses_det,
     symbolic_entry_table,
@@ -554,18 +554,6 @@ class TestFactorW:
         assert det_cs.content() == 1
         assert det_ct.content() == 1
 
-    def test_specialized_lhs_matches_interaction_determinant(self):
-        # Sending s to squared distances and t to the diagonal mass table
-        # turns the generalized matrix into the entrywise negation of the
-        # interaction matrix, so determinants match up to (-1)^C(n,2).
-        for n in (2, 3):
-            cert = factor_w(n)
-            target = mass_distance_table(n)
-            specialized = specialize_to_masses_and_distances(cert.lhs, n, target)
-            nbody = symbolic_nbody_det(n, table=target)
-            pairs = n * (n - 1) // 2
-            assert specialized == (nbody if pairs % 2 == 0 else -nbody)
-
 
 def _nbody_pencil(n, equal_masses=False):
     """(S', T', table) for sigma_n: S' = 2G at base point n, and T' =
@@ -722,6 +710,44 @@ class TestSignDictionary:
     def test_capped_above_four(self):
         with pytest.raises(ResourceCapError):
             sign_dictionary(5)
+
+    @staticmethod
+    def _plant(monkeypatch, field=None):
+        """Route the specialized split through a copy that records each
+        certificate and, given a field, returns it with that field negated."""
+        real, seen = factorization._w_split, []
+
+        def planted(*args):
+            cert = real(*args)
+            seen.append(cert)
+            return dataclasses.replace(cert, **{field: -getattr(cert, field)}) if field else cert
+
+        monkeypatch.setattr(factorization, "_w_split", planted)
+        return seen
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_negated_quotient_fails(self, monkeypatch, n):
+        self._plant(monkeypatch, "quotient")
+        report = sign_dictionary(n)
+        assert (report.entrywise_ok, report.det_ok, report.quotient_ok) == (True, True, False)
+        assert not report.ok
+        result = suites.signdict_suite(samples=0)
+        assert not result.ok
+        assert any(line.startswith(f"n={n}: symbolic sign dictionary failed") for line in result.lines)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_negated_lhs_fails(self, monkeypatch, n):
+        self._plant(monkeypatch, "lhs")
+        report = sign_dictionary(n)
+        assert (report.entrywise_ok, report.det_ok, report.quotient_ok) == (True, False, True)
+
+    def test_specialized_split_is_proved_past_the_generic_cap(self, monkeypatch):
+        seen = self._plant(monkeypatch)
+        assert sign_dictionary(4).ok
+        (spec,) = seen
+        assert (spec.family, spec.n, spec.verified) == ("w", 4, True)
+        with pytest.raises(ResourceCapError):
+            factor_w(4)
 
     def test_numeric_spot_check(self):
         rng = random.Random(61)
