@@ -82,11 +82,11 @@ class DefinitenessReport:
     """Verdict on a symmetric matrix, with supporting evidence.
 
     `min_eigenvalue` is a float certificate (informational in the exact
-    regime, decisive in the numeric one); it is None for exact matrices
-    whose entries or eigenvalues do not fit finite doubles or whose nonzero
-    entries underflow to 0.0.  `rank` counts
-    positive pivots for semidefinite exact matrices and thresholded
-    eigenvalues otherwise.
+    regime, decisive in the numeric one); it is exactly 0.0 for singular
+    semidefinite exact matrices, and None for other exact matrices whose
+    entries or eigenvalues do not fit finite doubles or whose nonzero
+    entries underflow to 0.0.  `rank` counts positive pivots for
+    semidefinite exact matrices and thresholded eigenvalues otherwise.
     """
 
     verdict: str
@@ -115,7 +115,7 @@ def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
     The exact regime pivots on positive diagonal entries and inspects
     Schur complements, which decides semidefiniteness exactly even for
     singular matrices.  The numeric regime thresholds eigenvalues at
-    tol * max(|lambda|, 1).
+    tol * max(|lambda|, 1) and refuses any past the double range.
     """
     rows = rows_of(matrix)
     n = len(rows)
@@ -127,22 +127,28 @@ def definiteness(matrix, tol: float = 1e-10) -> DefinitenessReport:
         if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
             raise ValueError("matrix is not symmetric")
         verdict, rank = exact.psd_verdict(rows)
-        return DefinitenessReport(verdict, _float_min_eigenvalue(rows), rank, tol, True)
+        min_eig = 0.0 if verdict == VERDICT_PSD else _float_min_eigenvalue(rows)
+        return DefinitenessReport(verdict, min_eig, rank, tol, True)
     a = np.array(_doubles(rows))
     scale = float(np.max(np.abs(a)))
     if not np.allclose(a, a.T, atol=tol * max(scale, 1.0), rtol=0.0):
         raise ValueError("matrix is not symmetric beyond tolerance")
-    a = (a + a.T) / 2.0
-    eigs = np.linalg.eigvalsh(a)
+    verdict, min_eig, rank = _numeric_verdict(np.linalg.eigvalsh(a + (a.T - a) / 2.0), tol)
+    return DefinitenessReport(verdict, min_eig, rank, tol, False)
+
+
+def _numeric_verdict(eigs, tol: float):
+    """(verdict, smallest eigenvalue, rank) from ascending eigenvalues,
+    thresholded at tol * max(|lambda|, 1); ValueError past the double range."""
+    if not np.isfinite(eigs).all():
+        raise ValueError("an eigenvalue is not a finite double")
     thr = tol * max(float(np.max(np.abs(eigs))), 1.0)
     min_eig = float(eigs[0])
     if min_eig > thr:
-        verdict, rank = VERDICT_PD, n
-    elif min_eig >= -thr:
-        verdict, rank = VERDICT_PSD, int(np.count_nonzero(eigs > thr))
-    else:
-        verdict, rank = VERDICT_INDEFINITE, int(np.count_nonzero(np.abs(eigs) > thr))
-    return DefinitenessReport(verdict, min_eig, rank, tol, False)
+        return VERDICT_PD, min_eig, len(eigs)
+    if min_eig >= -thr:
+        return VERDICT_PSD, min_eig, int(np.count_nonzero(eigs > thr))
+    return VERDICT_INDEFINITE, min_eig, int(np.count_nonzero(np.abs(eigs) > thr))
 
 
 def _integer_reduced(r: DistanceVector):
@@ -199,14 +205,14 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
     residual reads given exact distances (p, q) as p / q the same way.  Distance
     vectors outside the cone are refused, with the smallest float eigenvalue
     attached to the error: exact vectors by the exact verdict that
-    `cone_membership` reads, float vectors by that eigenvalue below -tol * max.
+    `cone_membership` reads, float vectors by the numeric verdict of
+    `definiteness`.  An eigenvalue past the double range raises ValueError.
     """
     n = r.n
     if n == 1:
         return EmbeddingResult(PointConfiguration([()]), 0, 0.0)
-    verdict = None
     if r.is_exact():
-        rows, scale, (verdict, rank) = _integer_reduced(r)
+        rows, scale, _ = _integer_reduced(r)
         try:
             m = np.array([[v / scale for v in row] for row in rows])
         except OverflowError:
@@ -215,19 +221,17 @@ def embed(r: DistanceVector, tol: float = 1e-10) -> EmbeddingResult:
             raise ValueError("nonzero matrix entry underflows to 0.0 in doubles")
     else:
         m = np.array(_doubles(reduced_edm(r, n - 1).to_lists()))
-    m = (m + m.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(m)
-    thr = tol * max(float(np.max(np.abs(eigvals))), 1.0)
-    min_eig = float(eigvals[0])
-    outside = verdict == VERDICT_INDEFINITE if verdict else min_eig < -thr
-    if outside:
+    verdict, min_eig, rank = _numeric_verdict(eigvals, tol)
+    if r.is_exact():
+        verdict, rank = _integer_reduced(r)[2]
+    if verdict == VERDICT_INDEFINITE:
         raise NotEmbeddableError(
             "distance vector lies outside the realizable cone "
             f"(eigenvalue {min_eig:.6g})",
             min_eig,
         )
-    order = [int(i) for i in np.argsort(eigvals)[::-1]]
-    kept = order[:rank] if verdict else [i for i in order if float(eigvals[i]) > thr]
+    kept = [int(i) for i in np.argsort(eigvals)[::-1]][:rank]
     d = len(kept)
     diffs = np.zeros((d, n - 1))
     for row, i in enumerate(kept):
@@ -266,11 +270,25 @@ def simplex_volume_sq(r: DistanceVector, tol: float = 1e-10):
     return rational(exact.det(rows), scale ** (n - 1) * divisor)
 
 
+def _vector(x, n: int) -> list:
+    x = list(x)
+    if len(x) != n:
+        raise DimensionMismatch("vector length must equal n")
+    return x
+
+
+def _bilinear(rows, u, v):
+    """u^T M v over the rows of M."""
+    total = 0
+    for a, row in enumerate(rows):
+        for b, entry in enumerate(row):
+            total = total + entry * u[a] * v[b]
+    return total
+
+
 def edm_quadratic_form(r: DistanceVector, x):
     """x^T D x where D is the squared-distance matrix."""
-    x = list(x)
-    if len(x) != r.n:
-        raise DimensionMismatch("vector length must equal n")
+    x = _vector(x, r.n)
     total = 0
     for p in r.space.pairs:
         total = total + 2 * r.sq(p.i, p.j) * x[p.i] * x[p.j]
@@ -279,24 +297,15 @@ def edm_quadratic_form(r: DistanceVector, x):
 
 def reduced_quadratic_form(r: DistanceVector, k: int, x):
     """x-hat^T M_k x-hat, dropping coordinate k of x."""
-    x = list(x)
-    if len(x) != r.n:
-        raise DimensionMismatch("vector length must equal n")
-    m = reduced_edm(r, k)
-    others = [i for i in range(r.n) if i != k]
-    total = 0
-    for a, i in enumerate(others):
-        for b, j in enumerate(others):
-            total = total + m[a, b] * x[i] * x[j]
-    return total
+    x = _vector(x, r.n)
+    x_hat = [v for i, v in enumerate(x) if i != k]
+    return _bilinear(reduced_edm(r, k).data, x_hat, x_hat)
 
 
 def mass_quadratic_form(alpha, x):
     """sum_i alpha_i x_i^2."""
     values = alpha_values(alpha)
-    x = list(x)
-    if len(x) != len(values):
-        raise DimensionMismatch("vector length must equal n")
+    x = _vector(x, len(values))
     total = 0
     for a, xi in zip(values, x):
         total = total + a * xi * xi
@@ -305,9 +314,7 @@ def mass_quadratic_form(alpha, x):
 
 def gram_quadratic_form(cfg: PointConfiguration, x):
     """Squared norm of sum_i x_i p_i (the Gram form of the configuration)."""
-    x = list(x)
-    if len(x) != cfg.n:
-        raise DimensionMismatch("vector length must equal n")
+    x = _vector(x, cfg.n)
     total = 0
     for m in range(cfg.d):
         coord = 0
@@ -319,9 +326,7 @@ def gram_quadratic_form(cfg: PointConfiguration, x):
 
 def pair_products(x, n: int) -> list:
     """The pair-indexed vector (x_i * x_j) over the C(n,2) pairs."""
-    x = list(x)
-    if len(x) != n:
-        raise DimensionMismatch("vector length must equal n")
+    x = _vector(x, n)
     return [x[p.i] * x[p.j] for p in PairSpace(n).pairs]
 
 
@@ -330,21 +335,11 @@ def biquadratic_form(s: GenericEntryTable, t: GenericEntryTable, x, y):
     if s.n != t.n:
         raise DimensionMismatch("both entry tables must have the same n")
     w = w_matrix(s, t)
-    zx = pair_products(x, s.n)
-    zy = pair_products(y, s.n)
-    total = 0
-    for a, row in enumerate(w.data):
-        for b, entry in enumerate(row):
-            total = total + entry * zx[a] * zy[b]
-    return total
+    return _bilinear(w.data, pair_products(x, s.n), pair_products(y, s.n))
 
 
 def nbody_quartic_form(alpha, r: DistanceVector, x):
     """Quartic pair form z^T B z with z the pair products of x."""
     b = nbody_matrix(alpha, r)
     z = pair_products(x, r.n)
-    total = 0
-    for a, row in enumerate(b.data):
-        for c, entry in enumerate(row):
-            total = total + entry * z[a] * z[c]
-    return total
+    return _bilinear(b.data, z, z)

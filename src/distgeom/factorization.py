@@ -135,13 +135,11 @@ def symbolic_nbody_det(
     return poly_det(nbody_matrix(alpha, r))
 
 
-def symbolic_cm_det(n: int, table: VarTable | None = None) -> SparsePoly:
+def symbolic_cm_det(n: int) -> SparsePoly:
     """Determinant of the bordered squared-distance matrix, symbolically."""
     if n < 2:
         raise ValueError("the bordered distance determinant needs n >= 2")
-    if table is None:
-        table = distance_table(n)
-    r = symbolic_squared_distances(table, n)
+    r = symbolic_squared_distances(distance_table(n), n)
     return poly_det(cayley_menger(r))
 
 

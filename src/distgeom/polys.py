@@ -12,13 +12,14 @@ each rendered as "coeff * name^e * ..." with "^1" omitted, joined by
 
 Exponent tuples are the public form: `terms`, `leading_term`,
 `sorted_terms`, `evaluate`, `to_text` and `parse_text` all speak tuples.
-The three hot kernels -- polynomial multiplication, `exact_divide` and
-the minors expansion inside `poly_det` -- convert to a packed form on
-entry and back on exit.  A packed monomial is one int: the exponents sit
-in equal byte-aligned slots in variable-table order (first variable most
-significant) below one more slot holding the total degree.  The slot
-width is chosen from a degree bound the operation reads off its inputs,
-so no exponent ever reaches the top (guard) bit of its slot.  Then int
+The hot kernels -- polynomial multiplication and the minors expansion
+inside `poly_det` -- and the public `exact_divide`, which nothing in the
+package calls, convert to a packed form on entry and back on exit.  A
+packed monomial is one int: the exponents sit in equal byte-aligned
+slots in variable-table order (first variable most significant) below
+one more slot holding the total degree.  The slot width is chosen from
+a degree bound the operation reads off its inputs, so no exponent
+ever reaches the top (guard) bit of its slot.  Then int
 order is graded-lex order, multiplying two monomials adds their ints, and
 the divisor's leading monomial divides monomial `k` exactly when
 `d = k - lead` has `d >= 0` and no guard bit set (Monagan & Pearce,

@@ -429,8 +429,9 @@ def kernel_suite(seed: int = 0, samples: int = 20, n_max: int = 5) -> SuiteResul
     )
 
 
-def content_suite(n_values=(2, 3, 4)) -> SuiteResult:
+def content_suite() -> SuiteResult:
     """The bordered generic-table determinant has unit content."""
+    n_values = (2, 3, 4)
     failures: list[str] = []
     for n in n_values:
         det_cs = poly_det(bordered(symbolic_entry_table(pair_table(n), n, "s")))

@@ -232,7 +232,7 @@ def test_12_generic_factor_content():
     # The bordered generic-table determinants are primitive (content 1)
     # for n = 2, 3, 4, so the splits carry no hidden constant factor.
     with criterion(12, "generic-factor-content"):
-        result = content_suite((2, 3, 4))
+        result = content_suite()
         assert result.ok, result.lines
 
 

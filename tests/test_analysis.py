@@ -157,6 +157,21 @@ class TestConeMembership:
                 verdicts.add(report.verdict)
             assert len(verdicts) == 1
 
+    def test_float_vectors_take_the_numeric_verdict(self):
+        for values, membership in [([1.0, 1.0, 1.0], "interior"),
+                                   ([1.0, 1.0, 2.0], "boundary"),
+                                   ([1.0, 1.0, 3.0], "outside"),
+                                   ([1.0, 1.0, 2.0 + 1e-12], "boundary")]:
+            assert cone_membership(DistanceVector(3, values)) == membership
+        rng = random.Random(51)
+        for _ in range(10):
+            n = rng.randint(2, 6)
+            cfg = sampling.random_configuration(rng, n, rng.randint(1, n - 1))
+            r = distances(cfg)
+            floats = DistanceVector(n, [float(v) for v in r.values])
+            assert not floats.is_exact()
+            assert cone_membership(floats) == cone_membership(r)
+
     def test_realizable_vectors_are_members(self):
         rng = random.Random(44)
         for _ in range(20):
@@ -301,6 +316,15 @@ class TestSimplexVolume:
     def test_outside_vector_refused(self):
         with pytest.raises(NotEmbeddableError):
             simplex_volume_sq(DistanceVector(3, [1, 1, 3]))
+
+    def test_float_vectors(self):
+        assert simplex_volume_sq(DistanceVector(3, [1.0, 1.0, 1.0])) == pytest.approx(3 / 16)
+        assert simplex_volume_sq(DistanceVector(3, [3.0, 5.0, 4.0])) == pytest.approx(36)
+        assert simplex_volume_sq(DistanceVector(4, [1.0] * 6)) == pytest.approx(1 / 72)
+        assert simplex_volume_sq(DistanceVector(3, [1.0, 1.0, 2.0])) == pytest.approx(0, abs=1e-12)
+        with pytest.raises(NotEmbeddableError) as info:
+            simplex_volume_sq(DistanceVector(3, [1.0, 1.0, 3.0]))
+        assert math.isnan(info.value.min_eigenvalue)
 
 
 def _fraction_det(rows) -> Fraction:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -483,6 +484,29 @@ class TestNonFiniteAndMalformedInput:
         assert _one_error_line(code, out, err)
         assert "finite double" in err
 
+    # The equilateral vector's largest eigenvalue, about 2.25e308, is no
+    # finite double, so neither a threshold nor coordinates read off it
+    # mean anything; exact `check` needs no eigenvalue for its verdict.
+    # Both vectors overflow a symmetrization (m + m^T) / 2 to NaN.
+    @pytest.mark.parametrize("r, verb, mode, expected", [
+        ("8.66e153,8.66e153,8.66e153", "check", "exact", 0),
+        ("8.66e153,8.66e153,8.66e153", "check", "numeric", 2),
+        ("8.66e153,8.66e153,8.66e153", "embed", "exact", 2),
+        ("8.66e153,8.66e153,8.66e153", "embed", "numeric", 2),
+        ("8.66e153,8.66e153,1", "check", "exact", 0),
+        ("8.66e153,8.66e153,1", "check", "numeric", 0),
+        ("8.66e153,8.66e153,1", "embed", "exact", 0),
+        ("8.66e153,8.66e153,1", "embed", "numeric", 0),
+    ])
+    def test_eigenvalues_near_the_double_range_print_no_nan(self, capsys, r, verb, mode, expected):
+        code, out, err = _run(capsys, verb, "--mode", mode, "--r", r)
+        assert code == expected
+        if code == 2:
+            assert _one_error_line(code, out, err)
+            assert "not a finite double" in err
+        else:
+            assert err == "" and "NaN" not in out and "Infinity" not in out
+
     # Squares below the double range: numeric `check` answered "boundary"
     # and exact `embed` answered d = 0 with residual 1.0, both exit 0.
     @pytest.mark.parametrize(
@@ -867,11 +891,63 @@ class TestColdImports:
         assert doc["code"] == 0
         assert not doc["loaded"] & absent, doc["loaded"]
 
+    def test_exact_boundary_check_loads_no_numpy(self):
+        doc = self._probe("check", "--r", "1,1,2")
+        assert doc["code"] == 0
+        assert json.loads(doc["out"]) == {"membership": "boundary", "min_eigenvalue": 0.0, "rank": 1}
+        assert not doc["numpy"]
+
     def test_exact_check_past_the_double_range_loads_no_numpy(self):
         doc = self._probe("check", "--r", "1e200,1e200,1e200")
         assert doc["code"] == 0
         assert json.loads(doc["out"])["min_eigenvalue"] is None
         assert not doc["numpy"]
+
+
+class TestVerbsAgree:
+    """Seeded exact vectors through `check`, `embed` and `det cm`: collinear,
+    coplanar and perturbed integer configurations in R^(n-1), given as
+    `--points`, and random integer distances, given as `--r`, most of
+    which lie outside the cone."""
+
+    @staticmethod
+    def _inputs(rng, tmp_path):
+        for k in range(64):
+            n = rng.randint(3, 7)
+            base, u, v = ([rng.randint(-5, 5) for _ in range(n - 1)] for _ in range(3))
+            points = []
+            for _ in range(n):
+                s, t = rng.randint(-4, 4), rng.randint(-4, 4) if k % 4 else 0
+                points.append([a + s * b + t * c for a, b, c in zip(base, u, v)])
+            if k % 4 == 3:
+                points = [[x + rng.randint(-1, 1) for x in p] for p in points]
+            path = tmp_path / f"points{k}.json"
+            path.write_text(json.dumps({"n": n, "d": n - 1, "points": points}))
+            yield n, ("--points", str(path))
+        for _ in range(16):
+            n = rng.randint(3, 6)
+            yield n, ("--r", ",".join(str(rng.randint(1, 9)) for _ in range(n * (n - 1) // 2)))
+
+    def test_check_embed_and_det_state_one_fact(self, capsys, tmp_path):
+        seen = set()
+        for n, source in self._inputs(random.Random(36), tmp_path):
+            code, out, _ = _run(capsys, "check", *source)
+            doc = json.loads(out)
+            membership, min_eig, rank = doc["membership"], doc["min_eigenvalue"], doc["rank"]
+            seen.add(membership)
+            assert code == (1 if membership == "outside" else 0)
+            sign = {"interior": 1, "boundary": 0, "outside": -1}[membership]
+            assert (min_eig > 0) - (min_eig < 0) == sign, (source, doc)
+            assert sign or repr(min_eig) == "0.0", (source, doc)
+            code, out, err = _run(capsys, "embed", *source)
+            if membership == "outside":
+                assert (code, out, json.loads(err)["error"]) == (1, "", "outside"), source
+            else:
+                assert (code, json.loads(out)["d"]) == (0, rank), source
+            code, out, _ = _run(capsys, "det", "cm", *source)
+            assert code == 0
+            assert (Fraction(out.strip()) == 0) == (rank < n - 1), (source, doc)
+        assert seen == {"interior", "boundary", "outside"}
 
 
 class TestFuzz:

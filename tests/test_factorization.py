@@ -665,6 +665,34 @@ class TestPencilQuotient:
             det_w = exact.det(w_matrix(s, t).to_lists())
             assert _at(z, [v for u in (s, t) for row in u.entries for v in row]) == det_w / (det_cs * det_ct)
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_general_factorization_at_points_past_the_w_cap(self, n):
+        """The paper's general result det W(s, t) = det C_s det C_t H at
+        seeded non-symmetric rational tables, where factor_w refuses to
+        expand: H is the pencil quotient of the double differences, as the
+        certificate takes it, on constant entries, and every determinant
+        is a Bareiss `exact.det`.  A W built with one entry of s changed,
+        against the unchanged C_s and H, breaks the equality."""
+        rng = random.Random(900 + n)
+        for _ in range(5):
+            s, t = sampling.random_entry_table(rng, n), sampling.random_entry_table(rng, n)
+            det_w, product = _general_split(s, t, s)
+            assert det_w == product != 0
+        planted = [list(row) for row in s.entries]
+        planted[0][1] += 1
+        det_w, product = _general_split(s, t, GenericEntryTable(planted))
+        assert det_w != product
+
+
+def _general_split(s, t, w_s):
+    """(det W(w_s, t), det C_s det C_t H) in rationals, H from s and t."""
+    n, const = s.n, VarTable([])
+    x, y = ([[SparsePoly.const(const, u[a][b] - u[a][-1] - u[-1][b] + u[-1][-1])
+              for b in range(n - 1)] for a in range(n - 1)] for u in (s.entries, t.entries))
+    h = pencil_quotient(x, y, const).terms.get((), 0)
+    det_c = [exact.det(bordered(u).to_lists()) for u in (s, t)]
+    return exact.det(w_matrix(w_s, t).to_lists()), det_c[0] * det_c[1] * h
+
 
 class TestCaps:
     def test_nbody_default_cap(self):

@@ -336,6 +336,12 @@ class TestPolyDet:
         with pytest.raises(ValueError):
             poly_det([[1], [2], [3]][:2] + [[1, 2]])
 
+    def test_entries_on_two_tables_are_refused(self):
+        (x,) = variables(VarTable(["x"]))
+        (y,) = variables(VarTable(["y"]))
+        with pytest.raises(ValueError, match="mixed variable tables"):
+            poly_det([[x, 1], [1, y]])
+
 
 def _oracle_mul(p: dict, q: dict) -> dict:
     """Product of two exponent-tuple term dicts, term by term."""
